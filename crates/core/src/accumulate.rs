@@ -24,7 +24,15 @@
 //!   `r_{E''} = Σ_m mass_s[m] · (T_t − q_t[m ∩ D_{E''}])` where
 //!   `q_t[S] = P(side t realizes nothing in S)`; no alternating signs, which
 //!   is the numerically gentlest form.
+//!
+//! The engines hold sparse [`MaskMass`] spectra and call
+//! [`combine_spectra`], which for the `Complement` method picks, by an
+//! automatic size test, between pairing the realized masks directly
+//! (`O(nnz_s · nnz_t)` per configuration, no `2^{|D|}` term at all) and the
+//! subset-sum form on one dense buffer built from the sink spectrum.
+//! [`combine`] is the dense-vector entry point to the same evaluations.
 
+use crate::spectrum::MaskMass;
 use crate::weight::Weight;
 
 /// Which evaluation of procedure ACCUMULATION to use. All three return the
@@ -137,25 +145,79 @@ fn r_zeta<W: Weight>(supported: u32, sup_s: &[W], sup_t: &[W]) -> W {
     r
 }
 
-/// `r_{E''}` by the complement identity, given `none_t[S] = P(side t realizes
-/// nothing in S)` and the total sink-side mass `total_t`.
-fn r_complement<W: Weight>(supported: u32, mass_s: &[W], none_t: &[W], total_t: &W) -> W {
+/// `r_{E''}` by the complement identity, given the subset sums of the sink
+/// spectrum, `sub_t[X] = Σ { mass_t[m] : m ⊆ X }`: side t realizes nothing
+/// in `S` with probability `sub_t[¬S]`, so a source mask `m` hits with
+/// probability `T_t − sub_t[¬(m ∩ D_{E''})]`. `mass_s` runs in ascending
+/// mask order.
+fn r_complement<'a, W: Weight + 'a>(
+    supported: u32,
+    mass_s: impl Iterator<Item = (u32, &'a W)>,
+    sub_t: &[W],
+) -> W {
+    let full = sub_t.len() - 1;
+    let total_t = &sub_t[full];
     let mut r = W::zero();
-    if supported == 0 {
-        return r;
-    }
-    for (m, w) in mass_s.iter().enumerate() {
+    for (m, w) in mass_s {
         if w.is_zero() {
             continue;
         }
-        let s = m as u32 & supported;
+        let s = m & supported;
         if s == 0 {
             continue; // side s realizes nothing usable: contributes 0
         }
-        let hit = total_t.sub(&none_t[s as usize]);
+        let hit = total_t.sub(&sub_t[full & !(s as usize)]);
         r = r.add(&w.mul(&hit));
     }
     r
+}
+
+/// `r_{E''}` by pairing the realized masks directly: a source mask `m_s`
+/// hits with the total sink mass whose masks share a supported assignment
+/// with it. Subtraction-free, and no `2^{|D|}` term at all.
+fn r_paired<W: Weight>(supported: u32, mass_s: &MaskMass<W>, mass_t: &MaskMass<W>) -> W {
+    let mut r = W::zero();
+    for (ms, ws) in mass_s.iter() {
+        let x = ms & supported;
+        if x == 0 {
+            continue;
+        }
+        let mut hit = W::zero();
+        for (mt, wt) in mass_t.iter() {
+            if mt & x != 0 {
+                hit = hit.add(wt);
+            }
+        }
+        if !hit.is_zero() {
+            r = r.add(&ws.mul(&hit));
+        }
+    }
+    r
+}
+
+/// `Σ_{E''} p_{E''} · r(D_{E''})` over the bottleneck configurations with a
+/// nonempty supported set (Eq. 3).
+fn sum_over_cut_configs<W: Weight>(
+    cut_weights: &[(W, W)],
+    support: &[u32],
+    mut r_of: impl FnMut(u32) -> W,
+) -> W {
+    assert_eq!(
+        support.len(),
+        1 << cut_weights.len(),
+        "one supported-set mask per cut configuration"
+    );
+    let mut total = W::zero();
+    for (links_up, &supported) in support.iter().enumerate() {
+        if supported == 0 {
+            continue;
+        }
+        let r = r_of(supported);
+        if !r.is_zero() {
+            total = total.add(&cut_config_weight(cut_weights, links_up as u32).mul(&r));
+        }
+    }
+    total
 }
 
 /// Combines the two side spectra and the bottleneck-link probabilities into
@@ -165,7 +227,9 @@ fn r_complement<W: Weight>(supported: u32, mass_s: &[W], none_t: &[W], total_t: 
 /// * `support[E'']` — assignment-index mask of `D_{E''}` for every of the
 ///   `2^k` bottleneck configurations (see
 ///   [`crate::assign::supported_assignment_masks`]);
-/// * `mass_s`, `mass_t` — the side spectra over `2^|D|` realization masks.
+/// * `mass_s`, `mass_t` — the side spectra as dense vectors over the
+///   `2^|D|` realization masks. `Complement` keeps only their nonzero
+///   entries and evaluates through [`combine_spectra`], as the engines do.
 pub fn combine<W: Weight>(
     cut_weights: &[(W, W)],
     support: &[u32],
@@ -174,59 +238,106 @@ pub fn combine<W: Weight>(
     assign_count: usize,
     method: AccumulationMethod,
 ) -> W {
-    let k = cut_weights.len();
-    assert_eq!(
-        support.len(),
-        1 << k,
-        "one supported-set mask per cut configuration"
-    );
     assert_eq!(mass_s.len(), 1 << assign_count);
     assert_eq!(mass_t.len(), 1 << assign_count);
-
-    // method-specific precomputation, bundled with the method so the loop
-    // below matches on one total enum instead of unwrapping options
-    enum Pre<W> {
-        Direct,
-        Zeta(Vec<W>, Vec<W>),
-        Comp(Vec<W>, W),
-    }
-    let pre = match method {
-        AccumulationMethod::PaperDirect => Pre::Direct,
+    match method {
+        AccumulationMethod::PaperDirect => {
+            sum_over_cut_configs(cut_weights, support, |sup| r_direct(sup, mass_s, mass_t))
+        }
         AccumulationMethod::ZetaInclusionExclusion => {
             let mut sup_s = mass_s.to_vec();
             let mut sup_t = mass_t.to_vec();
             superset_sums(&mut sup_s, assign_count);
             superset_sums(&mut sup_t, assign_count);
-            Pre::Zeta(sup_s, sup_t)
+            sum_over_cut_configs(cut_weights, support, |sup| r_zeta(sup, &sup_s, &sup_t))
         }
-        AccumulationMethod::Complement => {
-            // none_t[S] = Σ_{m ∩ S = ∅} mass_t[m] = subset-sums of mass_t,
-            // read at the complement of S
-            let mut sub_t = mass_t.to_vec();
-            subset_sums(&mut sub_t, assign_count);
-            let full = (1usize << assign_count) - 1;
-            let none_t: Vec<W> = (0..=full).map(|s| sub_t[full & !s].clone()).collect();
-            let total_t = sub_t[full].clone();
-            Pre::Comp(none_t, total_t)
-        }
-    };
+        AccumulationMethod::Complement => combine_spectra(
+            cut_weights,
+            support,
+            &MaskMass::from_dense(mass_s),
+            &MaskMass::from_dense(mass_t),
+            method,
+        ),
+    }
+}
 
-    let mut total = W::zero();
-    for links_up in 0..(1u32 << k) {
-        let supported = support[links_up as usize];
-        if supported == 0 {
-            continue;
+/// Which evaluation [`combine_spectra`] runs for the `Complement` method.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum SparsePath {
+    /// Pair the realized masks directly: `nnz_s · nnz_t` per configuration.
+    Paired,
+    /// Subset sums over one dense `2^|D|` buffer built from the sink
+    /// spectrum, then one lookup per realized source mask.
+    SubsetSums,
+}
+
+/// The size test of [`combine_spectra`].
+pub(crate) fn sparse_path(
+    configs: usize,
+    nnz_s: usize,
+    nnz_t: usize,
+    assign_count: usize,
+) -> SparsePath {
+    let paired = nnz_s as f64 * nnz_t as f64 * configs as f64;
+    let dense = assign_count as f64 * (assign_count as f64).exp2() + nnz_s as f64 * configs as f64;
+    if paired < dense {
+        SparsePath::Paired
+    } else {
+        SparsePath::SubsetSums
+    }
+}
+
+/// [`combine`] over sparse spectra. For [`AccumulationMethod::Complement`]
+/// the evaluation runs over the realized masks in ascending order on one of
+/// two paths, picked by a size test: pairing the realized masks directly
+/// when `nnz_s · nnz_t · configs` is below the subset-sum cost
+/// `|D| · 2^|D| + nnz_s · configs` (`configs` = bottleneck configurations
+/// with a nonempty supported set), otherwise subset sums over one dense
+/// buffer built from the sink spectrum. The subset-sum path is term for term
+/// the dense complement evaluation; the paired path returns the same value
+/// up to rounding (exactly, for exact weights). The other methods are
+/// oracles: they densify and run [`combine`].
+pub fn combine_spectra<W: Weight>(
+    cut_weights: &[(W, W)],
+    support: &[u32],
+    mass_s: &MaskMass<W>,
+    mass_t: &MaskMass<W>,
+    method: AccumulationMethod,
+) -> W {
+    assert_eq!(
+        mass_s.bits(),
+        mass_t.bits(),
+        "side spectra over different |D|"
+    );
+    if method != AccumulationMethod::Complement {
+        let (s, t) = (mass_s.to_dense(), mass_t.to_dense());
+        return combine(cut_weights, support, &s, &t, mass_s.bits(), method);
+    }
+    let configs = support.iter().filter(|&&m| m != 0).count();
+    let path = sparse_path(configs, mass_s.nnz(), mass_t.nnz(), mass_s.bits());
+    combine_on_path(cut_weights, support, mass_s, mass_t, path)
+}
+
+/// The `Complement` evaluation of [`combine_spectra`] on a given path.
+pub(crate) fn combine_on_path<W: Weight>(
+    cut_weights: &[(W, W)],
+    support: &[u32],
+    mass_s: &MaskMass<W>,
+    mass_t: &MaskMass<W>,
+    path: SparsePath,
+) -> W {
+    match path {
+        SparsePath::Paired => {
+            sum_over_cut_configs(cut_weights, support, |sup| r_paired(sup, mass_s, mass_t))
         }
-        let r = match &pre {
-            Pre::Direct => r_direct(supported, mass_s, mass_t),
-            Pre::Zeta(sup_s, sup_t) => r_zeta(supported, sup_s, sup_t),
-            Pre::Comp(none_t, total_t) => r_complement(supported, mass_s, none_t, total_t),
-        };
-        if !r.is_zero() {
-            total = total.add(&cut_config_weight(cut_weights, links_up).mul(&r));
+        SparsePath::SubsetSums => {
+            let mut sub_t = mass_t.to_dense();
+            subset_sums(&mut sub_t, mass_t.bits());
+            sum_over_cut_configs(cut_weights, support, |sup| {
+                r_complement(sup, mass_s.iter(), &sub_t)
+            })
         }
     }
-    total
 }
 
 /// Rigorous `[R_low, R_high]` around the reliability when the two side
@@ -244,41 +355,38 @@ pub fn combine<W: Weight>(
 ///   (`live_mask_*`) — the spectrum's support is contained in the live mask,
 ///   so this dominates every possible outcome.
 ///
-/// Both evaluations reuse [`combine`] on spectra that are again full
+/// Both evaluations reuse [`combine_spectra`] on spectra that are again full
 /// probability distributions, so the bounds inherit its exactness and stay
 /// in `[0, 1]` for probability weights.
 #[allow(clippy::too_many_arguments)]
 pub fn combine_interval<W: Weight>(
     cut_weights: &[(W, W)],
     support: &[u32],
-    mass_s: &[W],
+    mass_s: &MaskMass<W>,
     unexplored_s: &W,
     live_mask_s: u32,
-    mass_t: &[W],
+    mass_t: &MaskMass<W>,
     unexplored_t: &W,
     live_mask_t: u32,
-    assign_count: usize,
     method: AccumulationMethod,
 ) -> (W, W) {
-    let inject = |mass: &[W], u: &W, slot: u32| -> Vec<W> {
-        let mut v = mass.to_vec();
-        v[slot as usize] = v[slot as usize].add(u);
+    let inject = |mass: &MaskMass<W>, u: &W, slot: u32| -> MaskMass<W> {
+        let mut v = mass.clone();
+        v.add(slot, u);
         v
     };
-    let lo = combine(
+    let lo = combine_spectra(
         cut_weights,
         support,
         &inject(mass_s, unexplored_s, 0),
         &inject(mass_t, unexplored_t, 0),
-        assign_count,
         method,
     );
-    let hi = combine(
+    let hi = combine_spectra(
         cut_weights,
         support,
         &inject(mass_s, unexplored_s, live_mask_s),
         &inject(mass_t, unexplored_t, live_mask_t),
-        assign_count,
         method,
     );
     (lo, hi)
@@ -438,25 +546,193 @@ mod tests {
     #[test]
     fn interval_collapses_when_fully_explored_and_brackets_otherwise() {
         let q = 0.25f64;
-        let mass_s = vec![0.0, q, 2.0 * q, q];
-        let mass_t = vec![q, q, q, q];
+        let mass_s = MaskMass::from_dense(&[0.0, q, 2.0 * q, q]);
+        let mass_t = MaskMass::from_dense(&[q, q, q, q]);
         let cut = vec![(0.9, 0.1)];
         let support = vec![0b00u32, 0b11];
         let method = AccumulationMethod::Complement;
-        let exact = combine(&cut, &support, &mass_s, &mass_t, 2, method);
+        let exact = combine_spectra(&cut, &support, &mass_s, &mass_t, method);
         // fully explored: both bounds equal the exact value
         let (lo, hi) = combine_interval(
-            &cut, &support, &mass_s, &0.0, 0b11, &mass_t, &0.0, 0b11, 2, method,
+            &cut, &support, &mass_s, &0.0, 0b11, &mass_t, &0.0, 0b11, method,
         );
         assert!((lo - exact).abs() < 1e-12 && (hi - exact).abs() < 1e-12);
         // withhold one side-s configuration's mass (c3 -> {b1,b2}, mass q)
-        let part_s = vec![0.0, q, 2.0 * q, 0.0];
+        let part_s = MaskMass::from_dense(&[0.0, q, 2.0 * q, 0.0]);
         let (lo, hi) = combine_interval(
-            &cut, &support, &part_s, &q, 0b11, &mass_t, &0.0, 0b11, 2, method,
+            &cut, &support, &part_s, &q, 0b11, &mass_t, &0.0, 0b11, method,
         );
         assert!(lo <= exact + 1e-12, "{lo} <= {exact}");
         assert!(exact <= hi + 1e-12, "{exact} <= {hi}");
         assert!(hi - lo > 1e-9, "interval must be nondegenerate here");
+    }
+
+    /// A random spectrum over `dn` assignments with about `density` of its
+    /// masks realized, as a dense vector of probability-like masses.
+    fn random_dense<R: rand::Rng>(rng: &mut R, dn: usize, density: f64) -> Vec<f64> {
+        (0..1usize << dn)
+            .map(|_| {
+                if rng.gen_bool(density) {
+                    // dyadic, so the exact conversion below is lossless
+                    rng.gen_range(1..=64u32) as f64 / 64.0
+                } else {
+                    0.0
+                }
+            })
+            .collect()
+    }
+
+    fn random_cut<R: rand::Rng>(rng: &mut R, k: usize, dn: usize) -> (Vec<(f64, f64)>, Vec<u32>) {
+        let cut = (0..k)
+            .map(|_| {
+                let p = rng.gen_range(1..16u32) as f64 / 16.0;
+                (1.0 - p, p)
+            })
+            .collect();
+        let support = (0..1u32 << k)
+            .map(|_| rng.gen_range(0..1u32 << dn))
+            .collect();
+        (cut, support)
+    }
+
+    /// The complement identity evaluated on dense vectors: the reference
+    /// for both sparse paths.
+    fn dense_complement(
+        cut: &[(f64, f64)],
+        support: &[u32],
+        mass_s: &[f64],
+        mass_t: &[f64],
+        dn: usize,
+    ) -> f64 {
+        let mut sub_t = mass_t.to_vec();
+        subset_sums(&mut sub_t, dn);
+        sum_over_cut_configs(cut, support, |sup| {
+            r_complement(
+                sup,
+                mass_s.iter().enumerate().map(|(m, w)| (m as u32, w)),
+                &sub_t,
+            )
+        })
+    }
+
+    #[test]
+    fn sparse_paths_match_dense_complement_in_f64() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for round in 0..300 {
+            let dn = rand::Rng::gen_range(&mut rng, 1..=9usize);
+            let k = rand::Rng::gen_range(&mut rng, 1..=3usize);
+            let density = [0.05, 0.3, 1.0][round % 3];
+            let (ds, dt) = (
+                random_dense(&mut rng, dn, density),
+                random_dense(&mut rng, dn, density),
+            );
+            let (cut, support) = random_cut(&mut rng, k, dn);
+            let (s, t) = (MaskMass::from_dense(&ds), MaskMass::from_dense(&dt));
+            let dense = dense_complement(&cut, &support, &ds, &dt, dn);
+            let paired = combine_on_path(&cut, &support, &s, &t, SparsePath::Paired);
+            let subset = combine_on_path(&cut, &support, &s, &t, SparsePath::SubsetSums);
+            assert!(
+                (paired - dense).abs() < 1e-12,
+                "round {round}: paired {paired} vs dense {dense}"
+            );
+            // the subset-sum path is the dense evaluation, term for term
+            assert_eq!(subset.to_bits(), dense.to_bits(), "round {round}");
+            let auto = combine_spectra(&cut, &support, &s, &t, AccumulationMethod::Complement);
+            assert!(auto == paired || auto == subset, "round {round}");
+        }
+    }
+
+    #[test]
+    fn sparse_paths_equal_paper_direct_in_exact_arithmetic() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let exact = |v: &[f64]| -> Vec<BigRational> {
+            v.iter().map(|&x| BigRational::from_f64(x)).collect()
+        };
+        for round in 0..60 {
+            let dn = rand::Rng::gen_range(&mut rng, 1..=5usize);
+            let k = rand::Rng::gen_range(&mut rng, 1..=3usize);
+            let density = [0.1, 0.5, 1.0][round % 3];
+            let (ds, dt) = (
+                exact(&random_dense(&mut rng, dn, density)),
+                exact(&random_dense(&mut rng, dn, density)),
+            );
+            let (cut_f, support) = random_cut(&mut rng, k, dn);
+            let cut: Vec<(BigRational, BigRational)> = cut_f
+                .iter()
+                .map(|&(a, b)| (BigRational::from_f64(a), BigRational::from_f64(b)))
+                .collect();
+            let (s, t) = (MaskMass::from_dense(&ds), MaskMass::from_dense(&dt));
+            let direct = combine(
+                &cut,
+                &support,
+                &ds,
+                &dt,
+                dn,
+                AccumulationMethod::PaperDirect,
+            );
+            for path in [SparsePath::Paired, SparsePath::SubsetSums] {
+                let r = combine_on_path(&cut, &support, &s, &t, path);
+                assert_eq!(r, direct, "round {round}: {path:?}");
+            }
+            // the oracle methods densify and agree too
+            for method in [
+                AccumulationMethod::PaperDirect,
+                AccumulationMethod::ZetaInclusionExclusion,
+            ] {
+                assert_eq!(combine_spectra(&cut, &support, &s, &t, method), direct);
+            }
+        }
+    }
+
+    #[test]
+    fn size_test_pairs_sparse_wide_spectra_and_sums_dense_narrow_ones() {
+        // a wide cut realizing few masks: pairing costs 40·40·8, the subset
+        // sums 21·2^21
+        assert_eq!(sparse_path(8, 40, 40, 21), SparsePath::Paired);
+        // a narrow, fully realized spectrum: 16·16·8 pairs against 4·16
+        // + 16·8 for the subset sums
+        assert_eq!(sparse_path(8, 16, 16, 4), SparsePath::SubsetSums);
+        // the boundary is strict: equal costs take the subset sums
+        assert_eq!(sparse_path(1, 2, 2, 1), SparsePath::SubsetSums);
+
+        // both picks evaluate to the dense answer
+        let mut wide = MaskMass::new(21);
+        let mut other = MaskMass::new(21);
+        for j in 0..21u32 {
+            wide.add(1 << j, &(1.0 / 64.0));
+            other.add((1 << j) | 1, &(1.0 / 32.0));
+        }
+        let cut = vec![(0.75, 0.25)];
+        let support = vec![0, (1 << 21) - 1];
+        let sparse = combine_spectra(
+            &cut,
+            &support,
+            &wide,
+            &other,
+            AccumulationMethod::Complement,
+        );
+        let dense = dense_complement(&cut, &support, &wide.to_dense(), &other.to_dense(), 21);
+        assert!((sparse - dense).abs() < 1e-12, "{sparse} vs {dense}");
+        let narrow_s = MaskMass::from_dense(&[0.125; 16]);
+        let narrow_t = MaskMass::from_dense(&[0.0625; 16]);
+        let support = vec![0b0000, 0b0110];
+        let sparse = combine_spectra(
+            &cut,
+            &support,
+            &narrow_s,
+            &narrow_t,
+            AccumulationMethod::Complement,
+        );
+        let dense = dense_complement(
+            &cut,
+            &support,
+            &narrow_s.to_dense(),
+            &narrow_t.to_dense(),
+            4,
+        );
+        assert_eq!(sparse.to_bits(), dense.to_bits());
     }
 
     #[test]

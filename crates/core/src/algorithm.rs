@@ -9,18 +9,20 @@
 use exactmath::BigRational;
 use netgraph::{EdgeId, Network};
 
-use crate::accumulate::{combine, combine_interval};
-use crate::assign::{crossing_ranges, enumerate_assignments, supported_assignment_masks};
+use crate::accumulate::{combine_interval, combine_spectra};
+use crate::assign::{
+    crossing_ranges, enumerate_assignments, supported_assignment_masks, Assignment,
+};
 use crate::bottleneck::{validate_bottleneck_set, BottleneckSet};
 use crate::budget::BudgetSentinel;
 use crate::certcache::SweepStats;
 use crate::checkpoint::{SideCheckpoint, SweepCursor};
-use crate::decompose::{decompose, Side};
+use crate::decompose::{decompose, Decomposition, Side};
 use crate::demand::FlowDemand;
 use crate::error::ReliabilityError;
 use crate::options::CalcOptions;
 use crate::oracle::SideOracle;
-use crate::spectrum::RealizationSpectrum;
+use crate::spectrum::MaskMass;
 use crate::sweep::{sweep_spectrum_budgeted, PartialSpectrum, SweepConfig};
 use crate::weight::{edge_weights, edge_weights_exact, EdgeWeights, Weight};
 
@@ -71,6 +73,109 @@ fn side_weights<W: Weight>(side: &Side, parent: &EdgeWeights<W>) -> EdgeWeights<
         .iter()
         .map(|&e| parent[e.index()].clone())
         .collect()
+}
+
+/// Probability mass a partial side spectrum has explored, clamped to
+/// `[0, 1]`.
+pub(crate) fn explored_mass(mass: &MaskMass<f64>) -> f64 {
+    mass.total().clamp(0.0, 1.0)
+}
+
+/// Bit mask of the live assignment indices.
+pub(crate) fn live_mask(live: &[usize]) -> u32 {
+    live.iter().fold(0u32, |a, &j| a | 1 << j)
+}
+
+/// One side's swept spectrum and the sweep's counters.
+type SideRun<W> = (PartialSpectrum<W>, SweepStats);
+
+/// The two side oracles of a one-level split with their link weights,
+/// checked against the side-size limit.
+struct SideSweeps<W> {
+    oracle_s: SideOracle,
+    oracle_t: SideOracle,
+    w_s: EdgeWeights<W>,
+    w_t: EdgeWeights<W>,
+    dn: usize,
+}
+
+impl<W: Weight> SideSweeps<W> {
+    fn new(
+        dec: &Decomposition,
+        assignments: &[Assignment],
+        weights: &EdgeWeights<W>,
+        opts: &CalcOptions,
+    ) -> Result<Self, ReliabilityError> {
+        let oracle_s = SideOracle::new(&dec.side_s, assignments, opts.solver)?;
+        let oracle_t = SideOracle::new(&dec.side_t, assignments, opts.solver)?;
+        for m in [oracle_s.edge_count(), oracle_t.edge_count()] {
+            if m > opts.max_side_edges {
+                return Err(ReliabilityError::SideTooLarge {
+                    count: m,
+                    max: opts.max_side_edges,
+                });
+            }
+        }
+        Ok(SideSweeps {
+            oracle_s,
+            oracle_t,
+            w_s: side_weights(&dec.side_s, weights),
+            w_t: side_weights(&dec.side_t, weights),
+            dn: assignments.len(),
+        })
+    }
+
+    /// The assignments a fresh sweep of each side realizes at all.
+    fn fresh_live(&mut self, opts: &CalcOptions) -> (Vec<usize>, Vec<usize>) {
+        let dn = self.dn;
+        let live = |o: &mut SideOracle| -> Vec<usize> {
+            (0..dn)
+                .filter(|&j| !opts.prune_infeasible_assignments || o.feasible_at_best(j))
+                .collect()
+        };
+        (live(&mut self.oracle_s), live(&mut self.oracle_t))
+    }
+
+    /// Sweeps both sides under one sentinel, concurrently when
+    /// `opts.parallel` (the sides are independent subproblems).
+    fn sweep(
+        &self,
+        live_s: &[usize],
+        live_t: &[usize],
+        opts: &CalcOptions,
+        sentinel: &BudgetSentinel,
+        res_s: Option<PartialSpectrum<W>>,
+        res_t: Option<PartialSpectrum<W>>,
+    ) -> (SideRun<W>, SideRun<W>) {
+        let cfg = SweepConfig::from_opts(opts);
+        let side_s = || {
+            sweep_spectrum_budgeted(
+                &self.oracle_s,
+                live_s,
+                &self.w_s,
+                self.dn,
+                &cfg,
+                sentinel,
+                res_s,
+            )
+        };
+        let side_t = || {
+            sweep_spectrum_budgeted(
+                &self.oracle_t,
+                live_t,
+                &self.w_t,
+                self.dn,
+                &cfg,
+                sentinel,
+                res_t,
+            )
+        };
+        if opts.parallel {
+            rayon::join(side_s, side_t)
+        } else {
+            (side_s(), side_t())
+        }
+    }
 }
 
 /// Generic bottleneck reliability over any weight domain.
@@ -129,62 +234,33 @@ pub fn reliability_bottleneck_on_set<W: Weight>(
         });
     }
 
+    let dn = assignments.len();
     let dec = decompose(net, &demand, set);
-    let k = dec.cut.len();
+    let mut sides = SideSweeps::new(&dec, &assignments, weights, opts)?;
+    let (live_s, live_t) = sides.fresh_live(opts);
 
     // side spectra (Section III-C, streamed through the sweep engine)
-    let w_s = side_weights(&dec.side_s, weights);
-    let w_t = side_weights(&dec.side_t, weights);
-    let mut oracle_s = SideOracle::new(&dec.side_s, &assignments, opts.solver)?;
-    let mut oracle_t = SideOracle::new(&dec.side_t, &assignments, opts.solver)?;
-    let cfg = SweepConfig::from_opts(opts);
-    let build_s = |o: &mut SideOracle| {
-        RealizationSpectrum::build_with(
-            o,
-            &w_s,
-            opts.max_side_edges,
-            opts.max_assignments,
-            opts.prune_infeasible_assignments,
-            &cfg,
-        )
-    };
-    let build_t = |o: &mut SideOracle| {
-        RealizationSpectrum::build_with(
-            o,
-            &w_t,
-            opts.max_side_edges,
-            opts.max_assignments,
-            opts.prune_infeasible_assignments,
-            &cfg,
-        )
-    };
-    let (res_s, res_t) = if opts.parallel {
-        // the two sides are independent subproblems: build them concurrently
-        rayon::join(|| build_s(&mut oracle_s), || build_t(&mut oracle_t))
-    } else {
-        (build_s(&mut oracle_s), build_t(&mut oracle_t))
-    };
-    let (spec_s, stats_s) = res_s?;
-    let (spec_t, stats_t) = res_t?;
+    let unlimited = BudgetSentinel::unlimited();
+    let ((spec_s, stats_s), (spec_t, stats_t)) =
+        sides.sweep(&live_s, &live_t, opts, &unlimited, None, None);
     let mut sweep = stats_s;
     sweep.merge(&stats_t);
 
     // accumulation (Section IV)
-    let support = supported_assignment_masks(&assignments, k);
+    let support = supported_assignment_masks(&assignments, dec.cut.len());
     let cut_weights: Vec<(W, W)> = dec
         .cut
         .iter()
         .map(|&e| weights[e.index()].clone())
         .collect();
-    let r = combine(
+    let r = combine_spectra(
         &cut_weights,
         &support,
         &spec_s.mass,
         &spec_t.mass,
-        assignments.len(),
         opts.accumulation,
     );
-    Ok((r, report(assignments.len(), sweep)))
+    Ok((r, report(dn, sweep)))
 }
 
 /// What a budget-aware bottleneck run produced.
@@ -233,10 +309,10 @@ pub(crate) fn side_resume(
             1u64 << m
         )));
     }
-    if ck.mass.len() != 1usize << dn {
+    if ck.mass.slots() != 1usize << dn {
         return Err(bad(format!(
             "{which} checkpoint carries {} mask masses, this instance needs {}",
-            ck.mass.len(),
+            ck.mass.slots(),
             1usize << dn
         )));
     }
@@ -332,22 +408,9 @@ pub fn reliability_bottleneck_anytime_on(
     let dn = assignments.len();
 
     let dec = decompose(net, &demand, set);
-    let k = dec.cut.len();
     let weights = edge_weights(net);
-    let w_s = side_weights(&dec.side_s, &weights);
-    let w_t = side_weights(&dec.side_t, &weights);
-    let mut oracle_s = SideOracle::new(&dec.side_s, &assignments, opts.solver)?;
-    let mut oracle_t = SideOracle::new(&dec.side_t, &assignments, opts.solver)?;
-    let (m_s, m_t) = (oracle_s.edge_count(), oracle_t.edge_count());
-    for m in [m_s, m_t] {
-        if m > opts.max_side_edges {
-            return Err(ReliabilityError::SideTooLarge {
-                count: m,
-                max: opts.max_side_edges,
-            });
-        }
-    }
-
+    let mut sides = SideSweeps::new(&dec, &assignments, &weights, opts)?;
+    let (m_s, m_t) = (sides.oracle_s.edge_count(), sides.oracle_t.edge_count());
     let (live_s, res_s, live_t, res_t) = match resume {
         Some((cs, ct)) => {
             let (ls, ps) = side_resume(cs, "source-side", m_s, dn)?;
@@ -355,40 +418,24 @@ pub fn reliability_bottleneck_anytime_on(
             (ls, Some(ps), lt, Some(pt))
         }
         None => {
-            let live = |o: &mut SideOracle| -> Vec<usize> {
-                (0..dn)
-                    .filter(|&j| !opts.prune_infeasible_assignments || o.feasible_at_best(j))
-                    .collect()
-            };
-            (live(&mut oracle_s), None, live(&mut oracle_t), None)
+            let (ls, lt) = sides.fresh_live(opts);
+            (ls, None, lt, None)
         }
     };
-
-    let cfg = SweepConfig::from_opts(opts);
-    let ((part_s, stats_s), (part_t, stats_t)) = if opts.parallel {
-        rayon::join(
-            || sweep_spectrum_budgeted(&oracle_s, &live_s, &w_s, dn, &cfg, sentinel, res_s),
-            || sweep_spectrum_budgeted(&oracle_t, &live_t, &w_t, dn, &cfg, sentinel, res_t),
-        )
-    } else {
-        (
-            sweep_spectrum_budgeted(&oracle_s, &live_s, &w_s, dn, &cfg, sentinel, res_s),
-            sweep_spectrum_budgeted(&oracle_t, &live_t, &w_t, dn, &cfg, sentinel, res_t),
-        )
-    };
+    let ((part_s, stats_s), (part_t, stats_t)) =
+        sides.sweep(&live_s, &live_t, opts, sentinel, res_s, res_t);
     let mut sweep = stats_s;
     sweep.merge(&stats_t);
 
-    let support = supported_assignment_masks(&assignments, k);
+    let support = supported_assignment_masks(&assignments, dec.cut.len());
     let cut_weights: Vec<(f64, f64)> = dec.cut.iter().map(|&e| weights[e.index()]).collect();
 
     if part_s.is_complete() && part_t.is_complete() {
-        let r = combine(
+        let r = combine_spectra(
             &cut_weights,
             &support,
             &part_s.mass,
             &part_t.mass,
-            dn,
             opts.accumulation,
         );
         return Ok(BottleneckOutcome::Complete {
@@ -397,8 +444,6 @@ pub fn reliability_bottleneck_anytime_on(
         });
     }
 
-    let explored_mass = |mass: &[f64]| mass.iter().sum::<f64>().clamp(0.0, 1.0);
-    let live_mask = |live: &[usize]| live.iter().fold(0u32, |a, &j| a | 1 << j);
     let (sum_s, sum_t) = (explored_mass(&part_s.mass), explored_mass(&part_t.mass));
     let (lo, hi) = combine_interval(
         &cut_weights,
@@ -409,7 +454,6 @@ pub fn reliability_bottleneck_anytime_on(
         &part_t.mass,
         &(1.0 - sum_t).max(0.0),
         live_mask(&live_t),
-        dn,
         opts.accumulation,
     );
     let r_low = lo.clamp(0.0, 1.0);

@@ -7,7 +7,7 @@
 //! Connectivity is taken in the undirected sense, matching the paper's use of
 //! "connected components".
 
-use netgraph::{connected_components, find_bridges, EdgeId, Network, NodeId};
+use netgraph::{connected_components, BridgeSearch, EdgeId, Network, NodeId};
 
 use crate::error::ReliabilityError;
 
@@ -51,13 +51,6 @@ impl BottleneckSet {
     }
 }
 
-/// Checks whether removing `removed` disconnects `s` from `t`
-/// (undirected sense).
-fn separates(net: &Network, s: NodeId, t: NodeId, removed: &[EdgeId]) -> bool {
-    let comps = connected_components(net, |e| removed.iter().any(|r| r.index() == e));
-    !comps.same(s, t)
-}
-
 /// Validates that `edges` is a bottleneck link set for `(s, t)` and computes
 /// its decomposition geometry.
 pub fn validate_bottleneck_set(
@@ -90,18 +83,18 @@ pub fn validate_bottleneck_set(
             components: comps.count(),
         });
     }
-    // minimality: no (k-1)-subset separates (separation is monotone under
-    // removing more links, so checking one-removed subsets suffices)
-    for skip in 0..edges.len() {
-        let witness: Vec<EdgeId> = edges
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != skip)
-            .map(|(_, &e)| e)
-            .collect();
-        if separates(net, s, t, &witness) {
-            return Err(ReliabilityError::NotMinimal { witness });
-        }
+    // minimality: with exactly two components, one holding s and the other
+    // t, dropping link e_i from the set reconnects s and t exactly when e_i
+    // crosses between the components; a link that stays inside one side (or
+    // a self-loop) makes the rest of the set a separating witness
+    let crosses = |e: EdgeId| {
+        let l = net.edge(e);
+        !comps.same(l.src, l.dst)
+    };
+    if let Some(skip) = edges.iter().position(|&e| !crosses(e)) {
+        let mut witness = edges.clone();
+        witness.remove(skip);
+        return Err(ReliabilityError::NotMinimal { witness });
     }
     let s_label = comps.label(s);
     let t_label = comps.label(t);
@@ -140,10 +133,9 @@ pub fn validate_bottleneck_set(
 /// Searches for the most balanced bottleneck set with at most `max_k` links:
 /// minimizes `max(|E_s|, |E_t|)`, breaking ties toward smaller `k`.
 ///
-/// Bridges (`k = 1`) are found by Tarjan's algorithm; larger sets by
-/// exhaustive combination search (`O(|E|^k)` candidate sets, each checked
-/// with a linear-time component labelling) — an acceptable preprocessing
-/// cost for the small constant `k` the paper assumes.
+/// The search is bridge-pruned (see [`find_all_bottleneck_sets`]): one
+/// linear Tarjan pass per `(k−1)`-link prefix instead of a component
+/// labelling per `k`-link candidate.
 pub fn find_bottleneck_set(
     net: &Network,
     s: NodeId,
@@ -170,6 +162,24 @@ pub fn find_bottleneck_set(
 /// Enumerates *every* bottleneck set with at most `max_k` links (same search
 /// as [`find_bottleneck_set`], collecting instead of keeping the best). For
 /// analysis tooling; the count can grow quickly with `max_k`.
+///
+/// Sets come out by size, then in lexicographic order of their sorted link
+/// ids — the order of an exhaustive scan over all link combinations, which
+/// the tests keep as the oracle. Sets of size 1 (separating bridges) are
+/// always reported, even for `max_k = 0`.
+///
+/// **Search.** For each prefix `P` of `k − 1` links (lexicographic), one
+/// Tarjan pass rooted at `s` runs on `G − P`. If `P ∪ {e}` is a bottleneck
+/// set, `P` alone does not separate `s` from `t` (minimality) but `P ∪ {e}`
+/// does, so `e` is a bridge of `G − P` with `t` below it — and `e` has a
+/// larger id than every link of `P`. Only those bridges are candidates, so
+/// no set is lost. A candidate is a bottleneck set exactly when `G − P − e`
+/// has two components (here: `G − P` is connected, which the pass tells by
+/// the number of nodes it reached), `s` and `t` lie on different sides
+/// (`t` below `e`), and every link of `P` crosses between the sides (one
+/// endpoint below `e`, one not) — together the separating, two-component
+/// and minimality conditions of [`validate_bottleneck_set`], which then runs
+/// only for accepted sets, to build their geometry.
 pub fn find_all_bottleneck_sets(
     net: &Network,
     s: NodeId,
@@ -196,55 +206,75 @@ fn for_each_bottleneck_set(
     // binary links; the sides may still contain multi-state links (the
     // planner sweeps such sides whole).
     let eligible = |e: EdgeId| -> bool { net.spectrum(e).is_none() };
-    // k = 1 fast path: separating bridges
-    for e in find_bridges(net) {
-        if !eligible(e) {
-            continue;
-        }
-        if let Ok(set) = validate_bottleneck_set(net, s, t, &[e]) {
-            consider(set);
-        }
-    }
-    // k >= 2: exhaustive combinations over the eligible links
     let pool: Vec<EdgeId> = (0..net.edge_count())
         .map(EdgeId::from)
         .filter(|&e| eligible(e))
         .collect();
     let m = pool.len();
-    let mut combo: Vec<usize> = Vec::new();
-    for k in 2..=max_k.min(m) {
-        combo.clear();
-        combo.extend(0..k);
+    let n = net.node_count();
+    let mut search = BridgeSearch::new(net);
+    let mut removed = vec![false; net.edge_count()];
+    let mut prefix: Vec<usize> = Vec::new();
+    let mut found: Vec<EdgeId> = Vec::new();
+    let mut set: Vec<EdgeId> = Vec::new();
+    for k in 1..=max_k.min(m).max(1) {
+        // prefixes: (k−1)-combinations of pool indices, leaving room for a
+        // larger last link
+        prefix.clear();
+        prefix.extend(0..k - 1);
         loop {
-            let cand: Vec<EdgeId> = combo.iter().map(|&i| pool[i]).collect();
-            if let Ok(set) = validate_bottleneck_set(net, s, t, &cand) {
-                consider(set);
+            for &i in &prefix {
+                removed[pool[i].index()] = true;
             }
-            // next combination
-            let mut i = k;
-            loop {
-                if i == 0 {
-                    break;
-                }
-                i -= 1;
-                if combo[i] != i + m - k {
-                    combo[i] += 1;
-                    for j in i + 1..k {
-                        combo[j] = combo[j - 1] + 1;
+            search.run(s, |e| removed[e.index()]);
+            for &i in &prefix {
+                removed[pool[i].index()] = false;
+            }
+            if search.reached() == n {
+                let floor = prefix.last().map(|&i| pool[i]);
+                found.clear();
+                found.extend(search.bridges().iter().filter_map(|&(e, below)| {
+                    let accept = eligible(e)
+                        && floor.is_none_or(|f| e > f)
+                        && search.in_subtree(below, t)
+                        && prefix.iter().all(|&i| {
+                            let l = net.edge(pool[i]);
+                            search.in_subtree(below, l.src) != search.in_subtree(below, l.dst)
+                        });
+                    accept.then_some(e)
+                }));
+                found.sort_unstable();
+                for &e in &found {
+                    set.clear();
+                    set.extend(prefix.iter().map(|&i| pool[i]));
+                    set.push(e);
+                    if let Ok(b) = validate_bottleneck_set(net, s, t, &set) {
+                        consider(b);
                     }
-                    break;
-                }
-                if i == 0 {
-                    combo.clear();
-                    break;
                 }
             }
-            if combo.is_empty() {
+            if !next_combination(&mut prefix, m.saturating_sub(1)) {
                 break;
             }
         }
     }
     Ok(())
+}
+
+/// Advances `combo` (strictly increasing indices in `0..items`) to the next
+/// combination in lexicographic order; false when it was the last one.
+fn next_combination(combo: &mut [usize], items: usize) -> bool {
+    let k = combo.len();
+    for i in (0..k).rev() {
+        if combo[i] != i + items - k {
+            combo[i] += 1;
+            for j in i + 1..k {
+                combo[j] = combo[j - 1] + 1;
+            }
+            return true;
+        }
+    }
+    false
 }
 
 #[cfg(test)]

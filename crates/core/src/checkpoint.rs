@@ -21,6 +21,7 @@ use crate::certcache::SolveCert;
 use crate::demand::FlowDemand;
 use crate::error::ReliabilityError;
 use crate::options::CalcOptions;
+use crate::spectrum::MaskMass;
 
 /// Where an interrupted sweep stopped: the size of its index space and the
 /// half-open index ranges never examined.
@@ -68,8 +69,9 @@ pub struct SideCheckpoint {
     /// Live (prunable-feasible) assignment indices this side realizes.
     pub live: Vec<usize>,
     /// Partial realization-spectrum mass per assignment mask (sums to the
-    /// explored probability, not to 1).
-    pub mass: Vec<f64>,
+    /// explored probability, not to 1). The text form writes it densely,
+    /// one line per mask.
+    pub mass: MaskMass<f64>,
     /// Advisory certificate warm-start, one list per live assignment.
     pub certs: Vec<Vec<SolveCert>>,
 }
@@ -770,8 +772,13 @@ fn write_side(out: &mut String, label: &str, side: &SideCheckpoint) {
         out.push_str(&format!(" {j}"));
     }
     out.push('\n');
-    out.push_str(&format!("mass {}\n", side.mass.len()));
-    for &m in &side.mass {
+    out.push_str(&format!("mass {}\n", side.mass.slots()));
+    let mut realized = side.mass.iter().peekable();
+    for slot in 0..side.mass.slots() {
+        let m = match realized.next_if(|&(mask, _)| mask as usize == slot) {
+            Some((_, &w)) => w,
+            None => 0.0,
+        };
         out.push_str(&format!("m {:016x}\n", m.to_bits()));
     }
     out.push_str(&format!("certgroups {}\n", side.certs.len()));
@@ -903,10 +910,16 @@ fn read_side(
         .collect::<Result<Vec<usize>, _>>()?;
     let mf = field(lines, "mass")?;
     let mn: usize = parse(mf.first(), "mass count")?;
-    let mut mass = Vec::with_capacity(mn);
-    for _ in 0..mn {
+    if !mn.is_power_of_two() {
+        return Err(bad("mass count is not a power of two"));
+    }
+    let mut mass = MaskMass::new(mn.trailing_zeros() as usize);
+    for slot in 0..mn {
         let m = field(lines, "m")?;
-        mass.push(f64::from_bits(parse_hex(m.first(), "mass entry")?));
+        mass.add(
+            slot as u32,
+            &f64::from_bits(parse_hex(m.first(), "mass entry")?),
+        );
     }
     let gf = field(lines, "certgroups")?;
     let groups: usize = parse(gf.first(), "certificate group count")?;
@@ -956,7 +969,7 @@ mod tests {
                 remaining: vec![(7, total)],
             },
             live: vec![0, 2, 3],
-            mass: vec![0.25, 0.0, 1e-300, 0.125],
+            mass: MaskMass::from_dense(&[0.25, 0.0, 1e-300, 0.125]),
             certs: vec![
                 vec![SolveCert::Feasible { support: 1 }],
                 vec![],

@@ -83,16 +83,19 @@ pub fn reliability_factoring_weighted<W: Weight>(
         return reliability_factoring_weighted(&reduced.net, reduced.demand, &w, opts);
     }
     let m = net.edge_count();
-    assert!(
-        m <= EdgeMask::MAX_EDGES,
-        "factoring supports at most 64 links"
-    );
     if m > opts.max_enum_edges.max(40) {
         // factoring prunes aggressively, so allow somewhat more than naive,
         // but still refuse hopeless instances
         return Err(ReliabilityError::TooManyEdges {
             count: m,
             max: opts.max_enum_edges.max(40),
+        });
+    }
+    if m > EdgeMask::MAX_EDGES {
+        // a raised `max_enum_edges` must still meet the 64-bit mask wall
+        return Err(ReliabilityError::EdgeMaskOverflow {
+            count: m,
+            max: EdgeMask::MAX_EDGES,
         });
     }
     if demand.demand == 0 {

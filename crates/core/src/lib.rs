@@ -107,7 +107,7 @@ pub use plan::{
 pub use polynomial::{reliability_polynomial, ReliabilityPolynomial};
 pub use preprocess::{relevance_reduce, RelevantNetwork};
 pub use reduce::{reduce, ReduceStats, Reduction};
-pub use spectrum::RealizationSpectrum;
+pub use spectrum::{MaskMass, RealizationSpectrum};
 pub use spreduce::{reduce_unit_demand, reliability_sp_reduced, ReducedNetwork, ReductionStats};
 pub use sweep::{
     sweep_spectrum, sweep_spectrum_budgeted, sweep_sum, sweep_sum_budgeted, sweep_table,

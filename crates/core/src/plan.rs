@@ -85,10 +85,10 @@
 
 use netgraph::{EdgeId, EdgeMask, GraphKind, Network, NodeId};
 
-use crate::accumulate::{combine, combine_interval};
+use crate::accumulate::{combine_interval, combine_spectra};
 use crate::algorithm::{
-    reliability_bottleneck_anytime_on, side_resume, BottleneckOutcome, BottleneckReport,
-    PlanSlotReport,
+    explored_mass, live_mask, reliability_bottleneck_anytime_on, side_resume, BottleneckOutcome,
+    BottleneckReport, PlanSlotReport,
 };
 use crate::assign::{
     crossing_ranges, enumerate_assignments, supported_assignment_masks, Assignment, AssignmentModel,
@@ -105,6 +105,7 @@ use crate::options::CalcOptions;
 use crate::oracle::{DemandOracle, SideOracle};
 use crate::preprocess::relevance_reduce;
 use crate::reduce::{reduce, ReduceStats};
+use crate::spectrum::MaskMass;
 use crate::spreduce::{reduce_unit_demand, ReductionStats};
 use crate::sweep::{sweep_spectrum_budgeted, SweepConfig};
 use crate::weight::edge_weights;
@@ -645,7 +646,7 @@ struct SubtreeOut {
 
 /// One side's (possibly peel-transformed) spectrum plus owned leaf slots.
 struct SideOut {
-    mass: Vec<f64>,
+    mass: MaskMass<f64>,
     live: Vec<usize>,
     complete: bool,
     slots: Vec<LeafSlot>,
@@ -1093,7 +1094,6 @@ fn exec_deepcut(
     sentinel: &BudgetSentinel,
 ) -> Result<SubtreeOut, ReliabilityError> {
     let opts = ctx.opts;
-    let dn = dc.assignments.len();
     let (sa, sb) = fork2(
         sentinel,
         side_remaining(&dc.side_s, ctx.resume),
@@ -1114,12 +1114,11 @@ fn exec_deepcut(
     );
     let (s, t) = (s?, t?);
     let eval = if s.complete && t.complete {
-        let r = combine(
+        let r = combine_spectra(
             &dc.cut_weights,
             &dc.support,
             &s.mass,
             &t.mass,
-            dn,
             opts.accumulation,
         );
         Eval {
@@ -1130,8 +1129,6 @@ fn exec_deepcut(
             certified: true,
         }
     } else {
-        let explored_mass = |mass: &[f64]| mass.iter().sum::<f64>().clamp(0.0, 1.0);
-        let live_mask = |live: &[usize]| live.iter().fold(0u32, |a, &j| a | 1 << j);
         let (sum_s, sum_t) = (explored_mass(&s.mass), explored_mass(&t.mass));
         let (lo, hi) = combine_interval(
             &dc.cut_weights,
@@ -1142,7 +1139,6 @@ fn exec_deepcut(
             &t.mass,
             &(1.0 - sum_t).max(0.0),
             live_mask(&t.live),
-            dn,
             opts.accumulation,
         );
         let lo = lo.clamp(0.0, 1.0);
@@ -1188,11 +1184,9 @@ fn exec_side(
             // Peel transform (see the module docs): pointwise-exact when
             // both parts are complete, pointwise underestimate plus a
             // nonnegative residual otherwise.
-            let m0 = b.mass[0];
-            for v in b.mass.iter_mut() {
-                *v *= up * a.eval.lo;
-            }
-            b.mass[0] = (1.0 - up * a.eval.hi * (1.0 - m0)).max(0.0);
+            let m0 = b.mass.get(0);
+            b.mass.scale(&(up * a.eval.lo));
+            b.mass.set(0, (1.0 - up * a.eval.hi * (1.0 - m0)).max(0.0));
             b.complete = b.complete && a.eval.complete;
             let mut slots = a.slots;
             slots.extend(b.slots);
@@ -1235,6 +1229,9 @@ fn exec_sweep(
     let complete = part.is_complete();
     let total = 1u64 << m;
     let explored = 1.0 - part.remaining_configs() as f64 / total as f64;
+    // The slot state keeps the raw spectrum for resume while the parent cut
+    // works on its own copy (a peel rescales it); both hold only the
+    // realized masks.
     let mass = part.mass.clone();
     // Even a completed sweep stays a `Side` state (with nothing remaining):
     // the parent cut needs the mass vector, not a scalar, so `Done` never

@@ -8,9 +8,18 @@
 //!
 //! `mass[m] = Σ { P(config) : config's realization mask == m }`
 //!
-//! for every mask `m ⊆ D`. This replaces the `O(2^{|E_c|})` array with an
-//! `O(2^{|D|})` vector (`|D| ≤ d^k` is a small constant in the paper's
-//! regime) while performing the same `|D| · 2^{|E_c|}` max-flow invocations.
+//! for every mask `m ⊆ D`. This replaces the `O(2^{|E_c|})` array with a
+//! mask → mass map while performing the same `|D| · 2^{|E_c|}` max-flow
+//! invocations.
+//!
+//! Inside the engines the map is a [`MaskMass`]: it holds only the masks
+//! some side configuration realizes, at most `min(2^{|E_c|}, 2^{|D|})` of
+//! them and in practice far fewer, so a wide cut (`|D| ≈ 20`) costs memory
+//! and accumulation time in proportion to its realized masks rather than
+//! `2^{|D|}`. It is densified into a `2^{|D|}` vector only at the edges:
+//! [`RealizationSpectrum::mass`], [`crate::sweep::sweep_spectrum`], the
+//! checkpoint text, and the dense evaluations of
+//! [`crate::accumulate::combine`].
 //!
 //! The builder is generic over [`Weight`], so the same sweep produces either
 //! compensated-`f64` or exact-rational masses.
@@ -20,6 +29,152 @@ use crate::error::ReliabilityError;
 use crate::oracle::SideOracle;
 use crate::sweep::{sweep_spectrum, SweepConfig};
 use crate::weight::{EdgeWeights, Weight};
+
+/// Probability mass per realization mask, holding only the realized masks:
+/// the sparse form of a dense `2^|D|` mass vector.
+///
+/// Entries are kept in ascending mask order. [`MaskMass::add`] skips zero
+/// weights and otherwise adds into the mask's slot exactly as the dense
+/// vector would (`slot = slot + w`), so a sweep that adds in configuration
+/// order produces the same per-mask values, bit for bit, as a dense one, and
+/// a dense vector round-trips exactly through [`MaskMass::from_dense`] and
+/// [`MaskMass::to_dense`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct MaskMass<W> {
+    /// `|D|`: masks lie in `0..2^bits`.
+    bits: usize,
+    /// Realized masks, ascending.
+    masks: Vec<u32>,
+    /// `mass[i]` belongs to `masks[i]`.
+    mass: Vec<W>,
+}
+
+impl<W: Weight> MaskMass<W> {
+    /// An empty spectrum over `assign_count` assignments.
+    pub fn new(assign_count: usize) -> Self {
+        MaskMass {
+            bits: assign_count,
+            masks: Vec::new(),
+            mass: Vec::new(),
+        }
+    }
+
+    /// The nonzero entries of a dense vector of length `2^|D|`.
+    ///
+    /// # Panics
+    /// When the length is not a power of two.
+    pub fn from_dense(dense: &[W]) -> Self {
+        assert!(
+            dense.len().is_power_of_two(),
+            "dense spectra have 2^|D| slots"
+        );
+        let mut out = MaskMass::new(dense.len().trailing_zeros() as usize);
+        for (m, w) in dense.iter().enumerate() {
+            out.add(m as u32, w);
+        }
+        out
+    }
+
+    /// The dense vector of length `2^|D|` (zero where no mass was realized).
+    pub fn to_dense(&self) -> Vec<W> {
+        let mut dense = vec![W::zero(); self.slots()];
+        for (m, w) in self.iter() {
+            dense[m as usize] = w.clone();
+        }
+        dense
+    }
+
+    /// Number of assignments `|D|`.
+    pub fn bits(&self) -> usize {
+        self.bits
+    }
+
+    /// Length of the dense form, `2^|D|`.
+    pub fn slots(&self) -> usize {
+        1 << self.bits
+    }
+
+    /// Number of realized (stored) masks.
+    pub fn nnz(&self) -> usize {
+        self.masks.len()
+    }
+
+    /// `mass[mask] += w`; zero weights leave the spectrum untouched.
+    #[inline]
+    pub fn add(&mut self, mask: u32, w: &W) {
+        debug_assert!((mask as usize) < self.slots(), "mask outside 2^|D|");
+        if w.is_zero() {
+            return;
+        }
+        match self.masks.binary_search(&mask) {
+            Ok(i) => self.mass[i] = self.mass[i].add(w),
+            Err(i) => {
+                self.masks.insert(i, mask);
+                self.mass.insert(i, w.clone());
+            }
+        }
+    }
+
+    /// Adds every entry of `other` (ascending masks) into `self`.
+    pub fn merge(&mut self, other: &Self) {
+        debug_assert_eq!(self.bits, other.bits, "spectra over different |D|");
+        for (m, w) in other.iter() {
+            self.add(m, w);
+        }
+    }
+
+    /// `mass[mask]`, zero when the mask was never realized.
+    pub fn get(&self, mask: u32) -> W {
+        match self.masks.binary_search(&mask) {
+            Ok(i) => self.mass[i].clone(),
+            Err(_) => W::zero(),
+        }
+    }
+
+    /// Overwrites `mass[mask]` (a zero value removes the entry).
+    pub fn set(&mut self, mask: u32, w: W) {
+        match self.masks.binary_search(&mask) {
+            Ok(i) if w.is_zero() => {
+                self.masks.remove(i);
+                self.mass.remove(i);
+            }
+            Ok(i) => self.mass[i] = w,
+            Err(_) if w.is_zero() => {}
+            Err(i) => {
+                self.masks.insert(i, mask);
+                self.mass.insert(i, w);
+            }
+        }
+    }
+
+    /// Multiplies every mass by `f`, dropping entries that become zero.
+    pub fn scale(&mut self, f: &W) {
+        let masks = std::mem::take(&mut self.masks);
+        let mass = std::mem::take(&mut self.mass);
+        for (m, w) in masks.into_iter().zip(mass) {
+            let w = w.mul(f);
+            if !w.is_zero() {
+                self.masks.push(m);
+                self.mass.push(w);
+            }
+        }
+    }
+
+    /// `(mask, mass)` pairs in ascending mask order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &W)> + '_ {
+        self.masks.iter().copied().zip(&self.mass)
+    }
+
+    /// Total mass, summed in ascending mask order (the dense vector's sum,
+    /// bit for bit: skipped zeros do not change a running sum).
+    pub fn total(&self) -> W {
+        let mut t = W::zero();
+        for w in &self.mass {
+            t = t.add(w);
+        }
+        t
+    }
+}
 
 /// Probability mass of each realization mask for one side.
 #[derive(Clone, Debug, PartialEq)]
@@ -151,6 +306,44 @@ mod tests {
 
     fn weights_of(side: &Side) -> EdgeWeights<f64> {
         crate::weight::edge_weights(&side.net)
+    }
+
+    #[test]
+    fn mask_mass_matches_a_dense_vector() {
+        let mut sparse = MaskMass::new(3);
+        let mut dense = vec![0.0f64; 8];
+        for (m, w) in [(5u32, 0.25), (1, 0.5), (5, 0.125), (0, 0.0), (7, 1e-300)] {
+            sparse.add(m, &w);
+            dense[m as usize] += w;
+        }
+        assert_eq!(sparse.nnz(), 3, "zero weights are not stored");
+        assert_eq!(sparse.to_dense(), dense);
+        assert_eq!(MaskMass::from_dense(&dense), sparse);
+        assert_eq!(
+            sparse.iter().map(|(m, _)| m).collect::<Vec<_>>(),
+            vec![1, 5, 7]
+        );
+        assert_eq!(sparse.total(), dense.iter().sum::<f64>());
+        assert_eq!((sparse.get(5), sparse.get(2)), (0.375, 0.0));
+
+        let mut other = MaskMass::new(3);
+        other.add(2, &0.5);
+        other.add(5, &0.5);
+        sparse.merge(&other);
+        assert_eq!(sparse.get(5), 0.875);
+        assert_eq!(sparse.get(2), 0.5);
+
+        sparse.set(1, 0.0);
+        sparse.set(0, 0.25);
+        assert_eq!(
+            sparse.iter().map(|(m, _)| m).collect::<Vec<_>>(),
+            vec![0, 2, 5, 7]
+        );
+        sparse.scale(&0.5);
+        assert_eq!(sparse.get(2), 0.25);
+        sparse.scale(&0.0);
+        assert_eq!(sparse.nnz(), 0, "entries scaled to zero are dropped");
+        assert_eq!(sparse.slots(), 8);
     }
 
     #[test]

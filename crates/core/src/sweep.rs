@@ -49,6 +49,7 @@ use crate::budget::BudgetSentinel;
 use crate::certcache::{CertCache, SolveCert, SweepStats};
 use crate::options::CalcOptions;
 use crate::oracle::{DemandOracle, SideOracle};
+use crate::spectrum::MaskMass;
 use crate::weight::Weight;
 
 /// Low-bits width of the split-product weight table (table size `2^this`)
@@ -1115,8 +1116,8 @@ where
 /// lists the unexamined configuration ranges.
 pub struct PartialSpectrum<W> {
     /// Per-realization-mask accumulated mass over the examined
-    /// configurations.
-    pub mass: Vec<W>,
+    /// configurations, holding only the realized masks.
+    pub mass: MaskMass<W>,
     /// Half-open `[lo, hi)` configuration ranges not yet examined, ascending.
     pub remaining: Vec<(u64, u64)>,
     /// Certificates per live assignment, to warm-start a resumed run
@@ -1139,7 +1140,9 @@ impl<W> PartialSpectrum<W> {
 /// Builds the realization-spectrum masses for one side: `mass[r]` = total
 /// probability of side configurations whose realization mask over the `live`
 /// assignments is exactly `r`. `weights[i]` is the `(alive, failed)` pair of
-/// side link `i`; `assign_count` sizes the mask space.
+/// side link `i`; `assign_count` sizes the mask space. The result is the
+/// dense `2^assign_count` vector; the engines keep the sparse
+/// [`PartialSpectrum`] form instead.
 pub fn sweep_spectrum<W: Weight>(
     oracle: &SideOracle,
     live: &[usize],
@@ -1151,7 +1154,7 @@ pub fn sweep_spectrum<W: Weight>(
     let (partial, stats) =
         sweep_spectrum_budgeted(oracle, live, weights, assign_count, cfg, &sentinel, None);
     debug_assert!(partial.is_complete(), "unlimited sweeps always finish");
-    (partial.mass, stats)
+    (partial.mass.to_dense(), stats)
 }
 
 /// Budget-guarded form of [`sweep_spectrum`]. The budget is charged
@@ -1172,13 +1175,12 @@ pub fn sweep_spectrum_budgeted<W: Weight>(
     let m = oracle.edge_count();
     assert_eq!(weights.len(), m, "one weight pair per side link");
     let total = 1u64 << m;
-    let size = 1usize << assign_count;
     let wt = WeightTable::new(weights);
     let (mut mass, work, warm) = match resume {
         Some(p) => (p.mass, coalesce(p.remaining), p.certs),
-        None => (vec![W::zero(); size], vec![(0, total)], Vec::new()),
+        None => (MaskMass::new(assign_count), vec![(0, total)], Vec::new()),
     };
-    debug_assert_eq!(mass.len(), size, "resumed spectrum must match |D|");
+    debug_assert_eq!(mass.bits(), assign_count, "resumed spectrum must match |D|");
     debug_assert!(work.iter().all(|&(_, hi)| hi <= total));
     let unit = live.len().max(1) as u64;
     if cfg.fan_out(m, ranges_len(&work) * unit) {
@@ -1196,7 +1198,7 @@ pub fn sweep_spectrum_budgeted<W: Weight>(
                 let mut caches: Vec<Option<CertCache>> =
                     seeds.iter().map(|s| seeded_cache(cfg, s)).collect();
                 let mut stats = SweepStats::default();
-                let mut part = vec![W::zero(); size];
+                let mut part = MaskMass::new(assign_count);
                 let stop = spectrum_range_guarded(
                     &mut local,
                     &mut caches,
@@ -1216,9 +1218,7 @@ pub fn sweep_spectrum_budgeted<W: Weight>(
         let mut stats = seed_stats;
         let mut remaining = Vec::new();
         for (part, leftover, st) in results {
-            for (x, y) in mass.iter_mut().zip(&part) {
-                *x = x.add(y);
-            }
+            mass.merge(&part);
             remaining.extend(leftover);
             stats.merge(&st);
         }
@@ -1312,7 +1312,7 @@ fn spectrum_range_guarded<W: Weight>(
     hi: u64,
     wt: &WeightTable<W>,
     weights: &[(W, W)],
-    mass: &mut [W],
+    mass: &mut MaskMass<W>,
     sentinel: &BudgetSentinel,
     stats: &mut SweepStats,
 ) -> Option<u64> {
@@ -1345,8 +1345,7 @@ fn spectrum_range_guarded<W: Weight>(
                 }
             }
             for c in c0..c1 {
-                let slot = &mut mass[realized[(c - c0) as usize] as usize];
-                *slot = slot.add(&wt.weight(c, &high));
+                mass.add(realized[(c - c0) as usize], &wt.weight(c, &high));
             }
             c0 = c1;
         }

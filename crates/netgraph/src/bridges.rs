@@ -4,60 +4,144 @@
 //! `k = 1` bottleneck case of the paper (Fig. 2). Parallel edges are handled
 //! correctly (two parallel links are never bridges): the DFS excludes only the
 //! specific tree edge used to reach a node, not every edge to its parent.
+//!
+//! [`BridgeSearch`] is the reusable form: it builds the undirected adjacency
+//! once and runs any number of passes over it, each with its own set of
+//! masked-out links, on scratch buffers kept between passes. The bottleneck
+//! search runs one pass per candidate prefix.
 
 use crate::adjacency::Adjacency;
 use crate::ids::{EdgeId, NodeId};
 use crate::network::Network;
 
-/// Returns the bridges of `net` (undirected sense), in increasing edge order.
-pub fn find_bridges(net: &Network) -> Vec<EdgeId> {
-    let adj = Adjacency::undirected(net);
-    let n = net.node_count();
-    let mut disc = vec![0u32; n]; // 0 = unvisited; otherwise discovery time + 1
-    let mut low = vec![0u32; n];
-    let mut bridges = Vec::new();
-    let mut time = 1u32;
+/// A reusable Tarjan bridge pass over one network (undirected sense).
+///
+/// A pass ([`BridgeSearch::run`]) starts a DFS at a root, skipping the links
+/// the caller masks out, and records every bridge of the root's component
+/// together with the endpoint farther from the root. The DFS numbering is
+/// kept, so [`BridgeSearch::in_subtree`] answers "does `v` lie below this
+/// bridge" in O(1): removing the bridge `(e, below)` splits the component
+/// into the DFS subtree of `below` and everything else.
+#[derive(Clone, Debug)]
+pub struct BridgeSearch {
+    adj: Adjacency,
+    /// Discovery time + 1 (0 = not visited in this pass).
+    disc: Vec<u32>,
+    low: Vec<u32>,
+    /// Largest discovery time in the node's DFS subtree.
+    last: Vec<u32>,
+    /// Iterative DFS frames: (node, incoming tree edge, next child index).
+    stack: Vec<(NodeId, Option<EdgeId>, usize)>,
+    bridges: Vec<(EdgeId, NodeId)>,
+    time: u32,
+}
 
-    // Iterative DFS; each frame is (node, incoming tree edge, next child index).
-    let mut stack: Vec<(NodeId, Option<EdgeId>, usize)> = Vec::new();
-    for root in 0..n {
-        if disc[root] != 0 {
-            continue;
+impl BridgeSearch {
+    /// Builds the undirected adjacency of `net` and empty scratch buffers.
+    pub fn new(net: &Network) -> Self {
+        let n = net.node_count();
+        BridgeSearch {
+            adj: Adjacency::undirected(net),
+            disc: vec![0; n],
+            low: vec![0; n],
+            last: vec![0; n],
+            stack: Vec::new(),
+            bridges: Vec::new(),
+            time: 1,
         }
-        disc[root] = time;
-        low[root] = time;
-        time += 1;
-        stack.push((NodeId::from(root), None, 0));
-        while let Some(&mut (u, via, ref mut idx)) = stack.last_mut() {
-            let edges = adj.out_edges(u);
+    }
+
+    /// Forgets every earlier pass: no node is visited, no bridge recorded.
+    pub fn clear(&mut self) {
+        self.disc.fill(0);
+        self.bridges.clear();
+        self.time = 1;
+    }
+
+    /// One pass from `root` over the links for which `removed` is false:
+    /// clears the previous pass, then explores `root`'s component.
+    pub fn run(&mut self, root: NodeId, removed: impl Fn(EdgeId) -> bool) {
+        self.clear();
+        self.explore(root, removed);
+    }
+
+    /// Explores `root`'s component (skipping `removed` links) without
+    /// clearing earlier passes, so several roots can cover a whole graph.
+    /// Does nothing when `root` was already visited.
+    pub fn explore(&mut self, root: NodeId, removed: impl Fn(EdgeId) -> bool) {
+        if self.disc[root.index()] != 0 {
+            return;
+        }
+        self.discover(root);
+        self.stack.push((root, None, 0));
+        while let Some(&mut (u, via, ref mut idx)) = self.stack.last_mut() {
+            let edges = self.adj.out_edges(u);
             if *idx < edges.len() {
                 let (e, v) = edges[*idx];
                 *idx += 1;
-                if Some(e) == via {
+                if Some(e) == via || removed(e) {
                     continue; // don't reuse the tree edge we arrived on
                 }
-                if disc[v.index()] == 0 {
-                    disc[v.index()] = time;
-                    low[v.index()] = time;
-                    time += 1;
-                    stack.push((v, Some(e), 0));
+                if self.disc[v.index()] == 0 {
+                    self.discover(v);
+                    self.stack.push((v, Some(e), 0));
                 } else {
-                    low[u.index()] = low[u.index()].min(disc[v.index()]);
+                    self.low[u.index()] = self.low[u.index()].min(self.disc[v.index()]);
                 }
             } else {
-                stack.pop();
-                if let Some(&mut (parent, _, _)) = stack.last_mut() {
-                    low[parent.index()] = low[parent.index()].min(low[u.index()]);
-                    if low[u.index()] > disc[parent.index()] {
+                self.stack.pop();
+                self.last[u.index()] = self.time - 1;
+                if let Some(&mut (parent, _, _)) = self.stack.last_mut() {
+                    self.low[parent.index()] = self.low[parent.index()].min(self.low[u.index()]);
+                    if self.low[u.index()] > self.disc[parent.index()] {
                         // the tree edge into u is a bridge
                         if let Some(e) = via {
-                            bridges.push(e);
+                            self.bridges.push((e, u));
                         }
                     }
                 }
             }
         }
     }
+
+    fn discover(&mut self, v: NodeId) {
+        self.disc[v.index()] = self.time;
+        self.low[v.index()] = self.time;
+        self.time += 1;
+    }
+
+    /// Number of nodes visited since the last clear.
+    pub fn reached(&self) -> usize {
+        (self.time - 1) as usize
+    }
+
+    /// Whether `v` was visited since the last clear.
+    pub fn visited(&self, v: NodeId) -> bool {
+        self.disc[v.index()] != 0
+    }
+
+    /// Bridges found since the last clear, as `(bridge, endpoint farther
+    /// from the root)`, in DFS finishing order.
+    pub fn bridges(&self) -> &[(EdgeId, NodeId)] {
+        &self.bridges
+    }
+
+    /// Whether `v` lies in the DFS subtree of `top` (both visited in the
+    /// current pass). For a bridge `(e, below)` this is "`v` is cut off
+    /// from the root when `e` is removed".
+    pub fn in_subtree(&self, top: NodeId, v: NodeId) -> bool {
+        let (d, first) = (self.disc[v.index()], self.disc[top.index()]);
+        d != 0 && first <= d && d <= self.last[top.index()]
+    }
+}
+
+/// Returns the bridges of `net` (undirected sense), in increasing edge order.
+pub fn find_bridges(net: &Network) -> Vec<EdgeId> {
+    let mut search = BridgeSearch::new(net);
+    for root in 0..net.node_count() {
+        search.explore(NodeId::from(root), |_| false);
+    }
+    let mut bridges: Vec<EdgeId> = search.bridges().iter().map(|&(e, _)| e).collect();
     bridges.sort_unstable();
     bridges
 }
@@ -113,6 +197,35 @@ mod tests {
     fn self_loop_is_not_a_bridge() {
         let net = build(2, &[(0, 0), (0, 1)]);
         assert_eq!(find_bridges(&net), vec![EdgeId(1)]);
+    }
+
+    #[test]
+    fn masked_pass_sees_the_graph_without_the_masked_links() {
+        // cycle 0-1-2-3-0 plus a pendant 3-4: masking link 0 (0-1) turns the
+        // rest of the cycle into a path of bridges
+        let net = build(5, &[(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)]);
+        let mut search = BridgeSearch::new(&net);
+        search.run(NodeId(0), |_| false);
+        assert_eq!(search.reached(), 5);
+        assert_eq!(search.bridges(), &[(EdgeId(4), NodeId(4))]);
+        search.run(NodeId(0), |e| e == EdgeId(0));
+        let mut found: Vec<EdgeId> = search.bridges().iter().map(|&(e, _)| e).collect();
+        found.sort_unstable();
+        assert_eq!(found, vec![EdgeId(1), EdgeId(2), EdgeId(3), EdgeId(4)]);
+        // removing bridge 2 (2-3) cuts {1, 2} off from the root 0
+        let below = search
+            .bridges()
+            .iter()
+            .find(|&&(e, _)| e == EdgeId(2))
+            .map(|&(_, v)| v)
+            .unwrap();
+        assert!(search.in_subtree(below, NodeId(1)));
+        assert!(!search.in_subtree(below, NodeId(4)));
+        assert!(!search.in_subtree(below, NodeId(0)));
+        // a pass rooted inside a component never reaches the other one
+        search.run(NodeId(4), |e| e == EdgeId(4));
+        assert_eq!(search.reached(), 1);
+        assert!(!search.visited(NodeId(0)));
     }
 
     /// Brute-force oracle: e is a bridge iff removing it disconnects its

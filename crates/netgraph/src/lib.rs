@@ -40,7 +40,7 @@ pub mod traverse;
 
 pub use adjacency::Adjacency;
 pub use bitset::BitSet;
-pub use bridges::find_bridges;
+pub use bridges::{find_bridges, BridgeSearch};
 pub use components::{connected_components, ComponentLabels};
 pub use error::GraphError;
 pub use ids::{EdgeId, NodeId};

@@ -362,22 +362,23 @@ impl<'a> Parser<'a> {
                     return Err(self.err("raw control character in string"));
                 }
                 Some(_) => {
-                    // consume one UTF-8 scalar
+                    // consume the whole run of plain bytes up to the next
+                    // quote, escape or control byte, validating it once
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .or_else(|e| {
-                            if e.valid_up_to() > 0 {
-                                std::str::from_utf8(&rest[..e.valid_up_to()])
-                            } else {
-                                Err(e)
-                            }
-                        })
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    if out.len() + run > self.limits.max_string {
+                        return Err(self.err(format!(
+                            "string exceeds the {}-byte limit",
+                            self.limits.max_string
+                        )));
+                    }
+                    let text = std::str::from_utf8(&rest[..run])
                         .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    let Some(c) = s.chars().next() else {
-                        return Err(self.err("invalid utf-8 in string"));
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(text);
+                    self.pos += run;
                 }
             }
         }

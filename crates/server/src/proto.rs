@@ -686,6 +686,59 @@ mod tests {
         }
     }
 
+    /// A budgeted `Auto` run on a barbell whose cut sides sweep `|D| = 15`
+    /// assignments parks two dense `2^15`-entry spectra in its checkpoint:
+    /// about 1.2 MB of text, which the reply must carry through render and
+    /// parse intact (string parsing is linear in the reply size).
+    #[test]
+    fn partial_reply_with_a_wide_spectrum_checkpoint_round_trips() {
+        use flowrel_core::{Budget, CalcOptions, FlowDemand, Outcome, ReliabilityCalculator};
+        use workloads::generators::{barbell, BarbellParams};
+        let (inst, _) = barbell(BarbellParams {
+            cluster_nodes: 12,
+            cluster_extra_edges: 10,
+            cut_links: 3,
+            cut_capacity: 2,
+            demand: 2,
+            seed: 3,
+        });
+        let out = ReliabilityCalculator::new()
+            .with_options(CalcOptions {
+                budget: Budget {
+                    max_configs: Some(2_000),
+                    ..Budget::unlimited()
+                },
+                ..CalcOptions::default()
+            })
+            .run(
+                &inst.net,
+                FlowDemand::new(inst.source, inst.sink, inst.demand),
+            )
+            .unwrap();
+        let Outcome::Partial(p) = out else {
+            panic!("a 2000-config budget must interrupt this instance");
+        };
+        let checkpoint = p.checkpoint.to_text();
+        assert!(
+            checkpoint.contains("mass 32768\n"),
+            "the checkpoint carries a |D| = 15 spectrum"
+        );
+        assert!(checkpoint.len() > 1 << 20, "{} bytes", checkpoint.len());
+        let reply = Response::Partial {
+            r_low: p.r_low,
+            r_high: p.r_high,
+            explored: p.explored,
+            algorithm: p.algorithm.to_string(),
+            token: "0123abcd-1".into(),
+            checkpoint,
+            certified: true,
+        };
+        let text = reply.to_json().render();
+        let limits = crate::json::JsonLimits::default();
+        let back = Response::from_json(&crate::json::parse(&text, &limits).unwrap()).unwrap();
+        assert_eq!(back, reply);
+    }
+
     #[test]
     fn legacy_complete_reply_without_certified_parses_as_certified() {
         // Replies from a pre-hybrid server carry no 'certified' field; every

@@ -257,3 +257,25 @@ fn legacy_unreduced_checkpoints_resume_unreduced() {
         exact.reliability
     );
 }
+
+/// Unreduced `Auto` on a 71-link instance whose cuts leave sides too large
+/// falls back to factoring, which must refuse the size with an error before
+/// any 64-bit edge mask is built — not panic.
+#[test]
+fn unreduced_auto_past_64_links_returns_an_error() {
+    let inst = generators::slack_barbell(8, 3, 1);
+    assert_eq!(inst.net.edge_count(), 71);
+    let out =
+        std::panic::catch_unwind(|| calc(Strategy::Auto, false).run(&inst.net, demand_of(&inst)));
+    match out {
+        Ok(Err(e)) => assert!(
+            matches!(
+                e,
+                flowrel::core::ReliabilityError::TooManyEdges { count: 71, .. }
+            ),
+            "unexpected refusal: {e}"
+        ),
+        Ok(Ok(_)) => panic!("71 links are beyond every exact engine's bound"),
+        Err(_) => panic!("unreduced Auto panicked on a 71-link instance"),
+    }
+}
