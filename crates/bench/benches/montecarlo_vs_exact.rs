@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flowrel_bench::{barbell_with_edges, demand_of};
 use flowrel_core::{reliability_bottleneck, reliability_factoring, CalcOptions};
+use montecarlo::{engine, EstimatorKind, McBudget, McSettings, StopTarget};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("montecarlo_vs_exact");
@@ -21,13 +22,25 @@ fn bench(c: &mut Criterion) {
         b.iter(|| reliability_factoring(&inst.net, d, &opts).unwrap())
     });
     for samples in [1_000u64, 10_000, 100_000] {
+        let settings = McSettings {
+            seed: 3,
+            estimator: EstimatorKind::Crude,
+            target: StopTarget {
+                max_samples: samples,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
         group.bench_with_input(
             BenchmarkId::new("monte_carlo", samples),
-            &samples,
-            |b, &samples| {
+            &settings,
+            |b, settings| {
                 b.iter(|| {
-                    montecarlo::estimate(&inst.net, inst.source, inst.sink, d.demand, samples, 3)
-                        .unwrap()
+                    let budget = McBudget::unlimited();
+                    engine::run(
+                        &inst.net, d.source, d.sink, d.demand, settings, &budget, false,
+                    )
+                    .unwrap()
                 })
             },
         );

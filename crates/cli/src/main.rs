@@ -13,6 +13,15 @@
 //! flowrel dot <file.fnet>
 //! ```
 //!
+//! `flowrel mc FILE [--samples N] [--seed S]` is shorthand for
+//! `flowrel compute FILE --strategy mc --mc-estimator crude`, drawing 100 000
+//! samples from seed 1 unless told otherwise; both commands run the same
+//! engine and print the same answer.
+//!
+//! Each subcommand accepts only its own flags: an unknown `--flag`, a flag
+//! missing its value, or a stray argument is a usage error (exit `2`), so a
+//! typo such as `--timout` can never silently drop a budget.
+//!
 //! `--explain` prints the recursive decomposition plan (node kinds, per-node
 //! link counts, predicted sweep cost) before the computation runs, and — when
 //! the planner executed — a per-subtree accounting table afterwards showing
@@ -37,8 +46,11 @@
 //! and `20` for an *incomplete* run — the budget ran out and a partial
 //! result with rigorous bounds plus a checkpoint was produced. Monte-Carlo
 //! runs use the same scheme: an interrupted estimation writes its checkpoint
-//! and exits `20`; invalid sampling parameters exit `24`.
+//! and exits `20`; invalid sampling parameters exit `24`. A reader that
+//! closes the output early (`flowrel ... | head -1`) ends the run quietly
+//! with status `0`.
 
+use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -82,12 +94,26 @@ impl CliError {
             message: message.into(),
         }
     }
+
+    /// A failed write to stdout. A closed reader is not an error: it maps to
+    /// the quiet status `0`, which `main` reports as success.
+    fn stdout(e: std::io::Error) -> Self {
+        match e.kind() {
+            std::io::ErrorKind::BrokenPipe => CliError {
+                code: 0,
+                message: String::new(),
+            },
+            _ => CliError::io(format!("stdout: {e}")),
+        }
+    }
 }
 
-impl From<montecarlo::McError> for CliError {
-    fn from(e: montecarlo::McError) -> Self {
-        CliError::from(ReliabilityError::from(e))
-    }
+/// `println!` that returns a failed stdout write as a [`CliError`] from the
+/// enclosing function instead of panicking.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*).map_err(CliError::stdout)?
+    };
 }
 
 impl From<ReliabilityError> for CliError {
@@ -123,10 +149,80 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+/// The flags each subcommand accepts; a trailing `=` marks a flag that
+/// takes a value.
+const COMPUTE_FLAGS: &str = "--strategy= --exact --parallel --no-certs --no-incremental \
+    --no-reduce --parallel-threshold= --timeout= --max-configs= --max-depth= --explain --hybrid \
+    --checkpoint= --resume= --mc-estimator= --rel-err= --ci= --samples= --seed=";
+const ANALYZE_FLAGS: &str = "--max-k=";
+const MC_FLAGS: &str = "--samples= --seed=";
+
+/// The flags given to one subcommand, as `(flag, value)` pairs.
+struct Flags(Vec<(String, Option<String>)>);
+
+impl Flags {
+    /// Parses `args` against `spec`, rejecting unknown flags, flags missing
+    /// their value and stray arguments.
+    fn parse(cmd: &str, args: &[String], spec: &str) -> Result<Flags, CliError> {
+        let mut given = Vec::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let valued = spec
+                .split_whitespace()
+                .find_map(|f| match f.strip_suffix('=') {
+                    Some(name) => (name == arg).then_some(true),
+                    None => (f == arg).then_some(false),
+                });
+            let value = match valued {
+                None if arg.starts_with("--") => {
+                    return Err(CliError::usage(format!("{cmd}: unknown flag '{arg}'")))
+                }
+                None => {
+                    return Err(CliError::usage(format!(
+                        "{cmd}: unexpected argument '{arg}'"
+                    )))
+                }
+                Some(false) => None,
+                Some(true) => match args.next() {
+                    Some(v) if !v.starts_with("--") => Some(v.clone()),
+                    _ => return Err(CliError::usage(format!("{cmd}: {arg} needs a value"))),
+                },
+            };
+            given.push((arg.clone(), value));
+        }
+        Ok(Flags(given))
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.0.iter().any(|(name, _)| name == flag)
+    }
+
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.0
+            .iter()
+            .find(|(name, _)| name == flag)
+            .and_then(|(_, v)| v.as_deref())
+    }
+
+    /// Parses the value of `flag`, if given; `want` describes a valid value.
+    fn parsed<T: std::str::FromStr>(&self, flag: &str, want: &str) -> Result<Option<T>, CliError> {
+        self.value(flag)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| CliError::usage(format!("bad {flag} (want {want})")))
+            })
+            .transpose()
+    }
+
+    /// The value of `flag` as a finite number > 0, if given.
+    fn positive(&self, flag: &str) -> Result<Option<f64>, CliError> {
+        match self.parsed::<f64>(flag, "a value > 0")? {
+            Some(x) if !(x.is_finite() && x > 0.0) => {
+                Err(CliError::usage(format!("bad {flag} (want a value > 0)")))
+            }
+            v => Ok(v),
+        }
+    }
 }
 
 fn load(path: &str) -> Result<format::NetFile, CliError> {
@@ -140,42 +236,20 @@ fn demand_of(file: &format::NetFile) -> Result<FlowDemand, CliError> {
 }
 
 /// Builds [`montecarlo::McSettings`] from the `--strategy mc` flags.
-fn mc_settings(args: &[String]) -> Result<montecarlo::McSettings, CliError> {
-    let estimator = match flag_value(args, "--mc-estimator").as_deref() {
+fn mc_settings(flags: &Flags) -> Result<montecarlo::McSettings, CliError> {
+    let estimator = match flags.value("--mc-estimator") {
         None => montecarlo::EstimatorKind::Auto,
         Some(name) => montecarlo::EstimatorKind::from_name(name)
             .ok_or_else(|| CliError::usage(format!("unknown --mc-estimator '{name}'")))?,
     };
-    let positive = |flag: &'static str| -> Result<Option<f64>, CliError> {
-        flag_value(args, flag)
-            .map(|v| {
-                v.parse::<f64>()
-                    .ok()
-                    .filter(|x| x.is_finite() && *x > 0.0)
-                    .ok_or_else(|| CliError::usage(format!("bad {flag} (want a value > 0)")))
-            })
-            .transpose()
-    };
-    let max_samples = flag_value(args, "--samples")
-        .map(|v| {
-            v.parse::<u64>()
-                .map_err(|_| CliError::usage("bad --samples (want a count)"))
-        })
-        .transpose()?
-        .unwrap_or(1_000_000);
-    let seed = flag_value(args, "--seed")
-        .map(|v| {
-            v.parse::<u64>()
-                .map_err(|_| CliError::usage("bad --seed (want an integer)"))
-        })
-        .transpose()?
-        .unwrap_or(0);
+    let max_samples = flags.parsed("--samples", "a count")?.unwrap_or(1_000_000);
+    let seed = flags.parsed("--seed", "an integer")?.unwrap_or(0);
     Ok(montecarlo::McSettings {
         seed,
         estimator,
         target: montecarlo::StopTarget {
-            rel_err: positive("--rel-err")?,
-            ci_half: positive("--ci")?,
+            rel_err: flags.positive("--rel-err")?,
+            ci_half: flags.positive("--ci")?,
             max_samples,
         },
         ..Default::default()
@@ -185,13 +259,18 @@ fn mc_settings(args: &[String]) -> Result<montecarlo::McSettings, CliError> {
 /// `--explain`: prints the decomposition plan the calculator will execute
 /// for the bottleneck-planning strategies, or says why there is none.
 /// Informational only — planning failures here never abort the computation.
-fn explain(net: &netgraph::Network, demand: FlowDemand, strategy: &Strategy, opts: &CalcOptions) {
+fn explain(
+    net: &netgraph::Network,
+    demand: FlowDemand,
+    strategy: &Strategy,
+    opts: &CalcOptions,
+) -> Result<(), CliError> {
     if matches!(
         strategy,
         Strategy::Naive | Strategy::Factoring | Strategy::MonteCarlo(_)
     ) {
-        println!("plan: not applicable ({strategy:?} does not use the decomposition planner)");
-        return;
+        say!("plan: not applicable ({strategy:?} does not use the decomposition planner)");
+        return Ok(());
     }
     // Mirror the calculator: reduce first (when enabled), plan the remnant,
     // and render the plan wrapped in the reduction node so link references
@@ -231,7 +310,7 @@ fn explain(net: &netgraph::Network, demand: FlowDemand, strategy: &Strategy, opt
         _ => None,
     };
     if let Some(r) = &red {
-        println!("{}", r.summary());
+        say!("{}", r.summary());
     }
     let (pnet, pdemand) = red.as_ref().map_or((net, demand), |r| (&r.net, r.demand));
     let max_k = match strategy {
@@ -250,28 +329,34 @@ fn explain(net: &netgraph::Network, demand: FlowDemand, strategy: &Strategy, opt
                 Some(r) => plan.with_reduction(r),
                 None => plan,
             };
-            print!("{}", plan.render());
+            write!(std::io::stdout(), "{}", plan.render()).map_err(CliError::stdout)?;
         }
-        Err(e) => println!("plan: none ({e}); the strategy will fall back or fail accordingly"),
+        Err(e) => say!("plan: none ({e}); the strategy will fall back or fail accordingly"),
     }
+    Ok(())
 }
 
 /// `--explain`, after the run: per-leaf-slot accounting from the plan
 /// interpreter — how the configuration budget was apportioned across the
 /// subtrees and what each sweep actually cost compared to the planner's
 /// prediction. Empty for one-level (non-planned) runs.
-fn explain_slots(slots: &[flowrel_core::PlanSlotReport]) {
+fn explain_slots(slots: &[flowrel_core::PlanSlotReport]) -> Result<(), CliError> {
     if slots.is_empty() {
-        return;
+        return Ok(());
     }
-    println!(
+    say!(
         "plan accounting: {} leaf slot{} (predicted = configs left at start; share = budget fraction granted)",
         slots.len(),
         if slots.len() == 1 { "" } else { "s" }
     );
-    println!(
+    say!(
         "{:>6} {:>6} {:>12} {:>8} {:>12} {:>10}",
-        "slot", "kind", "predicted", "share", "configs", "explored"
+        "slot",
+        "kind",
+        "predicted",
+        "share",
+        "configs",
+        "explored"
     );
     for s in slots {
         let share = if s.share > 0.0 {
@@ -279,7 +364,7 @@ fn explain_slots(slots: &[flowrel_core::PlanSlotReport]) {
         } else {
             "-".to_string()
         };
-        println!(
+        say!(
             "{:>6} {:>6} {:>12.3e} {:>8} {:>12} {:>9.3}%",
             format!("#{}", s.index),
             s.kind,
@@ -290,7 +375,7 @@ fn explain_slots(slots: &[flowrel_core::PlanSlotReport]) {
         );
     }
     for s in slots.iter().filter(|s| s.kind == "mc") {
-        println!(
+        say!(
             "slot #{} sampled: predicted exact cost {:.3e} configs exceeded its apportioned \
              budget share ({:.1}%), so the leaf ran the Monte-Carlo estimator instead \
              ({} samples drawn)",
@@ -300,76 +385,54 @@ fn explain_slots(slots: &[flowrel_core::PlanSlotReport]) {
             s.configs
         );
     }
+    Ok(())
 }
 
-fn cmd_compute(path: &str, args: &[String]) -> Result<(), CliError> {
+fn cmd_compute(path: &str, flags: &Flags) -> Result<(), CliError> {
     let file = load(path)?;
     let demand = demand_of(&file)?;
-    let strategy = match flag_value(args, "--strategy").as_deref() {
+    let strategy = match flags.value("--strategy") {
         None | Some("auto") => Strategy::Auto,
         Some("naive") => Strategy::Naive,
         Some("factoring") => Strategy::Factoring,
         Some("bridge") => {
             let r = reliability_bridge(&file.net, demand, &CalcOptions::default())?;
-            println!("reliability = {r:.12}  (bridge decomposition)");
+            say!("reliability = {r:.12}  (bridge decomposition)");
             return Ok(());
         }
         Some("sp") => {
             let r = reliability_sp_reduced(&file.net, demand, &CalcOptions::default())?;
-            println!("reliability = {r:.12}  (series-parallel reduction + factoring)");
+            say!("reliability = {r:.12}  (series-parallel reduction + factoring)");
             return Ok(());
         }
-        Some("mc") => Strategy::MonteCarlo(mc_settings(args)?),
+        Some("mc") => Strategy::MonteCarlo(mc_settings(flags)?),
         Some(other) => return Err(CliError::usage(format!("unknown strategy '{other}'"))),
     };
-    let time_limit = flag_value(args, "--timeout")
-        .map(|v| {
-            v.parse::<f64>()
-                .ok()
-                .filter(|s| *s > 0.0 && s.is_finite())
-                .ok_or_else(|| CliError::usage("bad --timeout (want seconds > 0)"))
-        })
-        .transpose()?
-        .map(Duration::from_secs_f64);
-    let max_configs = flag_value(args, "--max-configs")
-        .map(|v| {
-            v.parse::<u64>()
-                .map_err(|_| CliError::usage("bad --max-configs (want a count)"))
-        })
-        .transpose()?;
-    let checkpoint_path =
-        flag_value(args, "--checkpoint").unwrap_or_else(|| format!("{path}.ckpt"));
+    let time_limit = flags.positive("--timeout")?.map(Duration::from_secs_f64);
+    let max_configs = flags.parsed("--max-configs", "a count")?;
+    let checkpoint_path = flags
+        .value("--checkpoint")
+        .map_or_else(|| format!("{path}.ckpt"), str::to_string);
     // Shared two-stage handler: first SIGINT/SIGTERM trips the token (the
     // sweep stops at a clean cursor and writes its checkpoint), the second
     // hard-exits 128+signo. Shared with flowrel-server so both binaries
     // behave identically under init systems and Ctrl-C alike.
     let cancel: CancelToken = flowrel_shutdown::ShutdownSignal::install().token();
-    let parallel_threshold = flag_value(args, "--parallel-threshold")
-        .map(|v| {
-            v.parse::<u64>()
-                .map_err(|_| CliError::usage("bad --parallel-threshold (want a config count)"))
-        })
-        .transpose()?;
-    let max_depth = flag_value(args, "--max-depth")
-        .map(|v| {
-            v.parse::<usize>().map_err(|_| {
-                CliError::usage("bad --max-depth (want a depth, 0 disables recursion)")
-            })
-        })
-        .transpose()?;
+    let parallel_threshold = flags.parsed("--parallel-threshold", "a config count")?;
+    let max_depth = flags.parsed("--max-depth", "a depth, 0 disables recursion")?;
     let defaults = CalcOptions::default();
-    let hybrid = args.iter().any(|a| a == "--hybrid");
+    let hybrid = flags.has("--hybrid");
     let opts = CalcOptions {
-        parallel: args.iter().any(|a| a == "--parallel"),
-        certificate_cache: !args.iter().any(|a| a == "--no-certs"),
-        incremental: !args.iter().any(|a| a == "--no-incremental"),
-        reduce: !args.iter().any(|a| a == "--no-reduce"),
+        parallel: flags.has("--parallel"),
+        certificate_cache: !flags.has("--no-certs"),
+        incremental: !flags.has("--no-incremental"),
+        reduce: !flags.has("--no-reduce"),
         parallel_threshold: parallel_threshold.unwrap_or(defaults.parallel_threshold),
         max_depth: max_depth.unwrap_or(defaults.max_depth),
         hybrid,
         // the sampling flags double as the hybrid leaf-estimator settings
         hybrid_mc: if hybrid {
-            mc_settings(args)?
+            mc_settings(flags)?
         } else {
             defaults.hybrid_mc.clone()
         },
@@ -383,13 +446,13 @@ fn cmd_compute(path: &str, args: &[String]) -> Result<(), CliError> {
     let calc = ReliabilityCalculator::new()
         .with_strategy(strategy)
         .with_options(opts);
-    let explaining = args.iter().any(|a| a == "--explain");
+    let explaining = flags.has("--explain");
     if explaining {
-        explain(&file.net, demand, &calc.strategy, &calc.options);
+        explain(&file.net, demand, &calc.strategy, &calc.options)?;
     }
-    let outcome = match flag_value(args, "--resume") {
+    let outcome = match flags.value("--resume") {
         Some(ck_path) => {
-            let text = std::fs::read_to_string(&ck_path)
+            let text = std::fs::read_to_string(ck_path)
                 .map_err(|e| CliError::io(format!("{ck_path}: {e}")))?;
             let ck = Checkpoint::from_text(&text)?;
             calc.resume(&file.net, demand, &ck)?
@@ -403,17 +466,20 @@ fn cmd_compute(path: &str, args: &[String]) -> Result<(), CliError> {
                 .map_err(|e| CliError::io(format!("{checkpoint_path}: {e}")))?;
             if explaining {
                 if let Some(b) = &partial.bottleneck {
-                    explain_slots(&b.plan_slots);
+                    explain_slots(&b.plan_slots)?;
                 }
             }
             if let Some(mc) = &partial.mc {
-                println!(
+                say!(
                     "partial estimate: reliability in [{:.12}, {:.12}]  (via {}, 95% Wilson \
                      interval from {} samples — statistical, not certified)",
-                    partial.r_low, partial.r_high, partial.algorithm, mc.samples
+                    partial.r_low,
+                    partial.r_high,
+                    partial.algorithm,
+                    mc.samples
                 );
             } else {
-                println!(
+                say!(
                     "partial result: reliability in [{:.12}, {:.12}]  (via {}, {:.3}% of the \
                      configuration space explored)",
                     partial.r_low,
@@ -422,8 +488,8 @@ fn cmd_compute(path: &str, args: &[String]) -> Result<(), CliError> {
                     100.0 * partial.explored
                 );
             }
-            println!("checkpoint written to {checkpoint_path}");
-            println!("resume with: flowrel compute {path} --resume {checkpoint_path}");
+            say!("checkpoint written to {checkpoint_path}");
+            say!("resume with: flowrel compute {path} --resume {checkpoint_path}");
             let quality = if partial.certified {
                 "certified"
             } else {
@@ -438,25 +504,31 @@ fn cmd_compute(path: &str, args: &[String]) -> Result<(), CliError> {
             });
         }
     };
-    println!(
+    say!(
         "reliability = {:.12}  (via {})",
-        report.reliability, report.algorithm
+        report.reliability,
+        report.algorithm
     );
     if report.certified {
-        println!("certainty   : certified (exact enumeration)");
+        say!("certainty   : certified (exact enumeration)");
     } else {
-        println!(
+        say!(
             "certainty   : statistical — 95% interval [{:.12}, {:.12}]",
-            report.interval.0, report.interval.1
+            report.interval.0,
+            report.interval.1
         );
     }
     if let Some(b) = report.bottleneck {
-        println!(
+        say!(
             "bottleneck: {:?}  |E_s|={} |E_t|={} alpha={:.3} |D|={}",
-            b.set.edges, b.set.side_s_edges, b.set.side_t_edges, b.alpha, b.assignment_count
+            b.set.edges,
+            b.set.side_s_edges,
+            b.set.side_t_edges,
+            b.alpha,
+            b.assignment_count
         );
         if b.sweep.configs > 0 {
-            println!(
+            say!(
                 "sweep: {} configs, {} solver calls, {} avoided by certificates ({:.1}% hit rate)",
                 b.sweep.configs,
                 b.sweep.solver_calls,
@@ -465,40 +537,46 @@ fn cmd_compute(path: &str, args: &[String]) -> Result<(), CliError> {
             );
         }
         if b.sweep.flips > 0 || b.sweep.full_resolves > 0 {
-            println!(
+            say!(
                 "warm repair: {} edge flips absorbed, {} paths cancelled, {} full re-solves",
-                b.sweep.flips, b.sweep.repairs, b.sweep.full_resolves
+                b.sweep.flips,
+                b.sweep.repairs,
+                b.sweep.full_resolves
             );
         }
         if explaining {
-            explain_slots(&b.plan_slots);
+            explain_slots(&b.plan_slots)?;
         }
     }
     if let Some(mc) = report.mc {
         if mc.exact {
-            println!(
+            say!(
                 "mc: value classified exactly ({} flow evals, no sampling needed)",
                 mc.flow_evals
             );
         } else {
-            println!(
+            say!(
                 "mc: 95% CI [{:.12}, {:.12}]  se={:.3e}  {} samples, {} flow evals",
-                mc.ci_low, mc.ci_high, mc.std_error, mc.samples, mc.flow_evals
+                mc.ci_low,
+                mc.ci_high,
+                mc.std_error,
+                mc.samples,
+                mc.flow_evals
             );
         }
     }
-    if args.iter().any(|a| a == "--exact") {
+    if flags.has("--exact") {
         let exact = reliability_naive_exact(&file.net, demand, &CalcOptions::default())?;
-        println!("exact       = {exact}");
-        println!("            = {}…", exact.to_decimal_string(15));
+        say!("exact       = {exact}");
+        say!("            = {}…", exact.to_decimal_string(15));
     }
     Ok(())
 }
 
-fn cmd_analyze(path: &str, args: &[String]) -> Result<(), CliError> {
+fn cmd_analyze(path: &str, flags: &Flags) -> Result<(), CliError> {
     let file = load(path)?;
     let net = &file.net;
-    println!(
+    say!(
         "{} network: {} nodes, {} links",
         match net.kind() {
             netgraph::GraphKind::Directed => "directed",
@@ -508,116 +586,88 @@ fn cmd_analyze(path: &str, args: &[String]) -> Result<(), CliError> {
         net.edge_count()
     );
     let bridges = find_bridges(net);
-    println!("bridges: {bridges:?}");
+    say!("bridges: {bridges:?}");
     let Some(demand) = file.demand else {
-        println!("(no demand line: skipping demand-specific analysis)");
+        say!("(no demand line: skipping demand-specific analysis)");
         return Ok(());
     };
-    let max_k: usize = flag_value(args, "--max-k")
-        .map(|v| v.parse().map_err(|_| CliError::usage("bad --max-k")))
-        .transpose()?
-        .unwrap_or(3);
+    let max_k: usize = flags.parsed("--max-k", "a set size")?.unwrap_or(3);
     let cut = maxflow::min_cut(net, demand.source, demand.sink, maxflow::SolverKind::Dinic);
-    println!(
+    say!(
         "max flow {} -> {}: {} (min cut {:?})",
-        demand.source, demand.sink, cut.value, cut.edges
+        demand.source,
+        demand.sink,
+        cut.value,
+        cut.edges
     );
     match find_bottleneck_set(net, demand.source, demand.sink, max_k) {
-        Ok(set) => println!(
+        Ok(set) => say!(
             "best bottleneck set (k <= {max_k}): {:?}  |E_s|={} |E_t|={} alpha={:.3}",
             set.edges,
             set.side_s_edges,
             set.side_t_edges,
             set.alpha(net.edge_count())
         ),
-        Err(e) => println!("bottleneck search: {e}"),
+        Err(e) => say!("bottleneck search: {e}"),
     }
     if demand.demand == 1 && net.edge_count() <= 20 {
         if let Ok((lo, hi)) = esary_proschan_bounds(net, demand, 100_000) {
-            println!("Esary-Proschan bounds: [{lo:.6}, {hi:.6}]");
+            say!("Esary-Proschan bounds: [{lo:.6}, {hi:.6}]");
         }
         if let Ok(cuts) = enumerate_minimal_cuts(net, demand.source, demand.sink, 4) {
-            println!("minimal cut sets (size <= 4): {}", cuts.len());
+            say!("minimal cut sets (size <= 4): {}", cuts.len());
         }
     }
     Ok(())
 }
 
-fn cmd_mc(path: &str, args: &[String]) -> Result<(), CliError> {
-    let file = load(path)?;
-    let demand = demand_of(&file)?;
-    let samples: u64 = flag_value(args, "--samples")
-        .map(|v| v.parse().map_err(|_| CliError::usage("bad --samples")))
-        .transpose()?
-        .unwrap_or(100_000);
-    let seed: u64 = flag_value(args, "--seed")
-        .map(|v| v.parse().map_err(|_| CliError::usage("bad --seed")))
-        .transpose()?
-        .unwrap_or(1);
-    let est = montecarlo::estimate(
-        &file.net,
-        demand.source,
-        demand.sink,
-        demand.demand,
-        samples,
-        seed,
-    )?;
-    let (lo, hi) = est.ci95();
-    println!(
-        "estimate = {:.6}  (95% CI [{lo:.6}, {hi:.6}], {} samples)",
-        est.mean, est.samples
-    );
-    Ok(())
+/// `flowrel mc`: shorthand for `compute --strategy mc --mc-estimator crude`
+/// with its own defaults of 100 000 samples and seed 1.
+fn cmd_mc(path: &str, flags: &Flags) -> Result<(), CliError> {
+    let samples = flags.value("--samples").unwrap_or("100000");
+    let seed = flags.value("--seed").unwrap_or("1");
+    let args = ["--strategy", "mc", "--mc-estimator", "crude"];
+    let args = [&args[..], &["--samples", samples, "--seed", seed]].concat();
+    let args: Vec<String> = args.into_iter().map(String::from).collect();
+    cmd_compute(path, &Flags::parse("compute", &args, COMPUTE_FLAGS)?)
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), CliError> {
+    use workloads::generators::{
+        barbell, bridge_chain, degraded_barbell, grid, slack_barbell, BarbellParams, Instance,
+    };
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(CliError::usage(format!("generate: unknown flag '{flag}'")));
+    }
     let parse_or = |i: usize, default: u64| -> u64 {
         args.get(i).and_then(|s| s.parse().ok()).unwrap_or(default)
     };
+    let n = |i: usize, default: u64| parse_or(i, default) as usize;
+    let barbell_params = || BarbellParams {
+        cluster_nodes: n(1, 4),
+        cluster_extra_edges: n(2, 2),
+        cut_links: n(3, 2),
+        cut_capacity: parse_or(4, 2),
+        demand: parse_or(4, 2),
+        seed: parse_or(5, 1),
+    };
+    let with_demand = |inst: Instance| {
+        let demand = FlowDemand::new(inst.source, inst.sink, inst.demand);
+        (inst.net, demand)
+    };
     let (net, demand) = match args.first().map(String::as_str) {
-        Some("barbell") => {
-            let (inst, _) = workloads::generators::barbell(workloads::generators::BarbellParams {
-                cluster_nodes: parse_or(1, 4) as usize,
-                cluster_extra_edges: parse_or(2, 2) as usize,
-                cut_links: parse_or(3, 2) as usize,
-                cut_capacity: parse_or(4, 2),
-                demand: parse_or(4, 2),
-                seed: parse_or(5, 1),
-            });
-            (
-                inst.net,
-                FlowDemand::new(inst.source, inst.sink, inst.demand),
-            )
-        }
-        Some("chain") => {
-            let inst = workloads::generators::bridge_chain(
-                parse_or(1, 3) as usize,
-                parse_or(2, 1),
-                parse_or(3, 1),
-            );
-            (
-                inst.net,
-                FlowDemand::new(inst.source, inst.sink, inst.demand),
-            )
-        }
-        Some("grid") => {
-            let inst = workloads::generators::grid(
-                parse_or(1, 3) as usize,
-                parse_or(2, 3) as usize,
-                parse_or(3, 1),
-            );
-            (
-                inst.net,
-                FlowDemand::new(inst.source, inst.sink, inst.demand),
-            )
-        }
+        Some("barbell") => with_demand(barbell(barbell_params()).0),
+        Some("degraded-barbell") => with_demand(degraded_barbell(barbell_params()).0),
+        Some("chain") => with_demand(bridge_chain(n(1, 3), parse_or(2, 1), parse_or(3, 1))),
+        Some("grid") => with_demand(grid(n(1, 3), n(2, 3), parse_or(3, 1))),
+        Some("slack-barbell") => with_demand(slack_barbell(n(1, 3), n(2, 2), parse_or(3, 1))),
         Some("mesh") => {
             let peers: Vec<flowrel_overlay::Peer> = (0..parse_or(1, 8))
                 .map(|i| flowrel_overlay::Peer::new(4, 300.0 + 60.0 * (i % 5) as f64))
                 .collect();
             let sc = flowrel_overlay::random_mesh(
                 &peers,
-                parse_or(2, 2) as usize,
+                n(2, 2),
                 parse_or(3, 1),
                 &flowrel_overlay::ChurnModel::new(90.0),
                 parse_or(4, 1),
@@ -627,54 +677,31 @@ fn cmd_generate(args: &[String]) -> Result<(), CliError> {
             };
             (sc.net, FlowDemand::new(sc.server, sub, sc.stream_rate))
         }
-        Some("slack-barbell") => {
-            let inst = workloads::generators::slack_barbell(
-                parse_or(1, 3) as usize,
-                parse_or(2, 2) as usize,
-                parse_or(3, 1),
-            );
-            (
-                inst.net,
-                FlowDemand::new(inst.source, inst.sink, inst.demand),
-            )
-        }
-        Some("degraded-barbell") => {
-            let (inst, _) =
-                workloads::generators::degraded_barbell(workloads::generators::BarbellParams {
-                    cluster_nodes: parse_or(1, 4) as usize,
-                    cluster_extra_edges: parse_or(2, 2) as usize,
-                    cut_links: parse_or(3, 2) as usize,
-                    cut_capacity: parse_or(4, 2),
-                    demand: parse_or(4, 2),
-                    seed: parse_or(5, 1),
-                });
-            (
-                inst.net,
-                FlowDemand::new(inst.source, inst.sink, inst.demand),
-            )
-        }
         _ => {
             return Err(CliError::usage(
                 "generate: expected barbell|chain|grid|mesh|slack-barbell|degraded-barbell",
             ))
         }
     };
-    print!("{}", format::serialize(&net, Some(demand)));
-    Ok(())
+    let text = format::serialize(&net, Some(demand));
+    write!(std::io::stdout(), "{text}").map_err(CliError::stdout)
 }
 
 fn cmd_importance(path: &str) -> Result<(), CliError> {
     let file = load(path)?;
     let demand = demand_of(&file)?;
     let imp = birnbaum_importance(&file.net, demand, &CalcOptions::default())?;
-    println!("reliability = {:.9}", imp.reliability);
-    println!(
+    say!("reliability = {:.9}", imp.reliability);
+    say!(
         "{:>6} {:>14} {:>12} {:>12}  link",
-        "rank", "potential", "birnbaum", "p(e)"
+        "rank",
+        "potential",
+        "birnbaum",
+        "p(e)"
     );
     for (rank, &e) in imp.ranked().iter().enumerate() {
         let edge = file.net.edge(netgraph::EdgeId::from(e));
-        println!(
+        say!(
             "{:>6} {:>14.6} {:>12.6} {:>12.4}  e{e}: {} -> {}",
             rank + 1,
             imp.improvement[e],
@@ -689,8 +716,12 @@ fn cmd_importance(path: &str) -> Result<(), CliError> {
 
 fn cmd_dot(path: &str) -> Result<(), CliError> {
     let file = load(path)?;
-    print!("{}", netgraph::dot::to_dot(&file.net, &[]));
-    Ok(())
+    write!(
+        std::io::stdout(),
+        "{}",
+        netgraph::dot::to_dot(&file.net, &[])
+    )
+    .map_err(CliError::stdout)
 }
 
 fn main() -> ExitCode {
@@ -699,17 +730,26 @@ fn main() -> ExitCode {
         return usage();
     };
     let rest = &args[1..];
-    let result = match (cmd.as_str(), rest.first()) {
-        ("compute", Some(path)) => cmd_compute(path, &rest[1..]),
-        ("analyze", Some(path)) => cmd_analyze(path, &rest[1..]),
-        ("mc", Some(path)) => cmd_mc(path, &rest[1..]),
-        ("importance", Some(path)) => cmd_importance(path),
+    let result = match (cmd.as_str(), rest.split_first()) {
+        ("compute", Some((path, args))) => {
+            Flags::parse(cmd, args, COMPUTE_FLAGS).and_then(|f| cmd_compute(path, &f))
+        }
+        ("analyze", Some((path, args))) => {
+            Flags::parse(cmd, args, ANALYZE_FLAGS).and_then(|f| cmd_analyze(path, &f))
+        }
+        ("mc", Some((path, args))) => {
+            Flags::parse(cmd, args, MC_FLAGS).and_then(|f| cmd_mc(path, &f))
+        }
+        ("importance", Some((path, args))) => {
+            Flags::parse(cmd, args, "").and_then(|_| cmd_importance(path))
+        }
         ("generate", _) => cmd_generate(rest),
-        ("dot", Some(path)) => cmd_dot(path),
+        ("dot", Some((path, args))) => Flags::parse(cmd, args, "").and_then(|_| cmd_dot(path)),
         _ => return usage(),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.code == 0 => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {}", e.message);
             ExitCode::from(e.code)

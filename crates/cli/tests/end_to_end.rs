@@ -1,9 +1,146 @@
-//! End-to-end CLI checks through the library-level entry points the binary
-//! uses: generate → serialize → parse → compute must agree with a direct
-//! computation, for every generator the CLI exposes.
+//! End-to-end CLI checks. The library-level round trips check that
+//! generate → serialize → parse → compute agrees with a direct computation
+//! for every generator the CLI exposes; the binary-level checks drive the
+//! `flowrel` executable itself (flag validation, the `mc` shorthand, and
+//! output into a closed pipe).
+
+use std::io::{BufRead, BufReader};
+use std::path::PathBuf;
+use std::process::{Command, Output, Stdio};
 
 use flowrel_core::fnet as format;
 use flowrel_core::{reliability_factoring, CalcOptions, FlowDemand, ReliabilityCalculator};
+
+fn flowrel(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_flowrel"))
+        .args(args)
+        .output()
+        .expect("run flowrel")
+}
+
+/// Writes `flowrel generate <args>` to a per-test file in the temp dir.
+fn generated(name: &str, args: &[&str]) -> PathBuf {
+    let out = flowrel(&[&["generate"], args].concat());
+    assert!(out.status.success(), "generate {args:?}: {out:?}");
+    let path = std::env::temp_dir().join(format!("flowrel-e2e-{}-{name}.fnet", std::process::id()));
+    std::fs::write(&path, &out.stdout).expect("write instance");
+    path
+}
+
+fn assert_usage_error(args: &[&str], needle: &str) {
+    let out = flowrel(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains(needle), "{args:?}: {stderr}");
+}
+
+#[test]
+fn unknown_flags_and_missing_values_are_usage_errors() {
+    let path = generated("flags", &["barbell", "4", "2", "2", "2", "7"]);
+    let file = path.to_str().unwrap();
+    assert_usage_error(
+        &["compute", file, "--timout", "1"],
+        "unknown flag '--timout'",
+    );
+    assert_usage_error(&["mc", file, "--sample", "10"], "unknown flag '--sample'");
+    assert_usage_error(&["mc", file, "--timeout", "1"], "unknown flag '--timeout'");
+    assert_usage_error(&["analyze", file, "--max-k"], "--max-k needs a value");
+    assert_usage_error(
+        &["compute", file, "--seed", "--parallel"],
+        "--seed needs a value",
+    );
+    assert_usage_error(&["compute", file, "stray"], "unexpected argument 'stray'");
+    assert_usage_error(&["dot", file, "--explain"], "unknown flag '--explain'");
+    assert_usage_error(
+        &["generate", "grid", "3", "3", "--seed"],
+        "unknown flag '--seed'",
+    );
+    // accepted flags still parse, switches included
+    let out = flowrel(&[
+        "compute",
+        file,
+        "--explain",
+        "--max-depth",
+        "0",
+        "--no-certs",
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn mc_shorthand_prints_the_same_estimate_as_compute_crude() {
+    let path = generated("mc", &["barbell", "4", "2", "2", "2", "7"]);
+    let file = path.to_str().unwrap();
+    let sampling = ["--samples", "20000", "--seed", "7"];
+    let mc = flowrel(&[&["mc", file][..], &sampling].concat());
+    let compute = flowrel(
+        &[
+            &[
+                "compute",
+                file,
+                "--strategy",
+                "mc",
+                "--mc-estimator",
+                "crude",
+            ][..],
+            &sampling,
+        ]
+        .concat(),
+    );
+    assert!(mc.status.success(), "{mc:?}");
+    assert!(compute.status.success(), "{compute:?}");
+    let text = String::from_utf8_lossy(&mc.stdout);
+    assert!(text.contains("montecarlo:crude"), "{text}");
+    assert!(text.contains("20000 samples"), "{text}");
+    assert_eq!(mc.stdout, compute.stdout);
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn mc_samples_multistate_files() {
+    let path = generated("mc-deg", &["degraded-barbell", "4", "2", "3", "2", "7"]);
+    let out = flowrel(&["mc", path.to_str().unwrap(), "--samples", "5000"]);
+    assert!(out.status.success(), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("reliability = "));
+    std::fs::remove_file(path).ok();
+}
+
+/// Asserts a run whose reader went away exited quietly, not by a panic.
+fn assert_quiet_exit(child: std::process::Child) {
+    let out = child.wait_with_output().expect("wait for flowrel");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+}
+
+#[test]
+fn closed_stdout_ends_the_run_quietly() {
+    let spawn = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_flowrel"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn flowrel")
+    };
+    // far more output than a pipe buffers: read one line, then hang up
+    let mut child = spawn(&["generate", "grid", "80", "80", "1"]);
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(!first.is_empty());
+    assert_quiet_exit(child);
+
+    // a reader that is gone before the answer is printed
+    let path = generated("pipe", &["barbell", "4", "2", "2", "2", "7"]);
+    let mut child = spawn(&["compute", path.to_str().unwrap()]);
+    drop(child.stdout.take());
+    assert_quiet_exit(child);
+    std::fs::remove_file(path).ok();
+}
 
 #[test]
 fn generated_barbell_roundtrips_and_computes() {

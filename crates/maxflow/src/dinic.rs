@@ -146,10 +146,6 @@ impl MaxFlowSolver for Dinic {
         }
         flow
     }
-
-    fn name(&self) -> &'static str {
-        "dinic"
-    }
 }
 
 #[cfg(test)]

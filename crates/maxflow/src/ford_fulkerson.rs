@@ -64,10 +64,6 @@ impl MaxFlowSolver for BfsFordFulkerson {
         }
         flow
     }
-
-    fn name(&self) -> &'static str {
-        "bfs-ford-fulkerson"
-    }
 }
 
 #[cfg(test)]

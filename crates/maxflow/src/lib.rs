@@ -11,10 +11,11 @@
 //! * [`build_flow`] / [`build_flow_multi`] — lowering from a
 //!   [`netgraph::Network`] (with optional super-source/super-sink terminals,
 //!   used for the per-assignment multi-sink demands of Section III-C);
-//! * five solvers behind the [`MaxFlowSolver`] trait — [`Dinic`] (default),
-//!   [`EdmondsKarp`], [`BfsFordFulkerson`] (one augmenting path per unit of
-//!   flow, the `O(d·|E|)` choice matching the paper's constant-`d` analysis),
-//!   [`PushRelabel`] (FIFO with gap relabelling), and [`CapacityScaling`];
+//! * three solvers behind the [`MaxFlowSolver`] trait, dispatched by
+//!   [`SolverKind`] — [`Dinic`] (the default every production path runs),
+//!   [`BfsFordFulkerson`] (one augmenting path per unit of flow, the
+//!   `O(d·|E|)` oracle of the paper's constant-`d` analysis), and
+//!   [`PushRelabel`] (FIFO with gap relabelling, an independent comparator);
 //! * all solvers support an early-exit `limit`: augmentation stops as soon as
 //!   `limit` units are routed, since the reliability calculation only ever
 //!   asks "is max-flow ≥ d?";
@@ -28,9 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod capacity_scaling;
 pub mod dinic;
-pub mod edmonds_karp;
 pub mod ford_fulkerson;
 pub mod graph;
 pub mod incremental;
@@ -41,9 +40,7 @@ pub mod push_relabel;
 pub mod solver;
 pub mod workspace;
 
-pub use capacity_scaling::CapacityScaling;
 pub use dinic::Dinic;
-pub use edmonds_karp::EdmondsKarp;
 pub use ford_fulkerson::BfsFordFulkerson;
 pub use graph::{ArcId, FlowGraph};
 pub use incremental::{RepairStats, WarmState};
@@ -51,5 +48,5 @@ pub use lower::{build_flow, build_flow_multi, NetworkFlow};
 pub use mincut::min_cut;
 pub use prober::CutProber;
 pub use push_relabel::PushRelabel;
-pub use solver::{max_flow_at_least, MaxFlowSolver, SolverKind};
+pub use solver::{MaxFlowSolver, SolverKind};
 pub use workspace::Workspace;

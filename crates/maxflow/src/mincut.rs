@@ -42,9 +42,7 @@ pub(crate) fn residual_reachable(g: &FlowGraph, s: usize) -> Vec<bool> {
 pub fn min_cut(net: &Network, s: NodeId, t: NodeId, solver: SolverKind) -> MinCut {
     let mut nf = build_flow(net, s, t);
     nf.apply_all_alive();
-    let value = solver
-        .solver()
-        .solve(&mut nf.graph, nf.source, nf.sink, u64::MAX);
+    let value = solver.solve(&mut nf.graph, nf.source, nf.sink, u64::MAX);
     let seen = residual_reachable(&nf.graph, nf.source);
     let mut edges = Vec::new();
     for (id, e) in net.edge_refs() {
@@ -99,7 +97,7 @@ mod tests {
         b.add_edge(n[1], n[3], 2, 0.1).unwrap();
         b.add_edge(n[2], n[3], 3, 0.1).unwrap();
         let net = b.build();
-        let cut = min_cut(&net, n[0], n[3], SolverKind::EdmondsKarp);
+        let cut = min_cut(&net, n[0], n[3], SolverKind::PushRelabel);
         let cap: u64 = cut.edges.iter().map(|&e| net.edge(e).capacity).sum();
         assert_eq!(cut.value, 4);
         assert_eq!(cap, cut.value);

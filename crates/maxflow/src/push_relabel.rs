@@ -108,10 +108,6 @@ impl MaxFlowSolver for PushRelabel {
         }
         excess[t].min(limit)
     }
-
-    fn name(&self) -> &'static str {
-        "push-relabel"
-    }
 }
 
 #[cfg(test)]

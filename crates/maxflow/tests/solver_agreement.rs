@@ -25,9 +25,7 @@ fn random_network(kind: GraphKind) -> impl Strategy<Value = (Network, NodeId, No
 fn flow_with(kind: SolverKind, net: &Network, s: NodeId, t: NodeId, limit: u64) -> u64 {
     let mut nf = build_flow(net, s, t);
     nf.apply_all_alive();
-    let f = kind
-        .solver()
-        .solve(&mut nf.graph, nf.source, nf.sink, limit);
+    let f = kind.solve(&mut nf.graph, nf.source, nf.sink, limit);
     // push-relabel leaves a preflow, not a flow; skip conservation for it
     if kind != SolverKind::PushRelabel && limit == u64::MAX {
         assert_eq!(nf.graph.check_conservation(nf.source, nf.sink).unwrap(), f);

@@ -975,6 +975,19 @@ mod tests {
                 ..
             })
         ));
+        let none = settings(EstimatorKind::Crude, 0);
+        assert_eq!(
+            run(
+                &net,
+                NodeId(0),
+                NodeId(1),
+                1,
+                &none,
+                &McBudget::unlimited(),
+                false
+            ),
+            Err(McError::NoSamples)
+        );
         let mut bad = settings(EstimatorKind::Crude, 1000);
         bad.batch = 0;
         assert!(run(

@@ -5,6 +5,7 @@ use flowrel::core::{
     esary_proschan_bounds, reduce_unit_demand, reliability_naive, reliability_sp_reduced,
     CalcOptions, FlowDemand,
 };
+use flowrel::montecarlo::{engine, EstimatorKind, McBudget, McSettings, StopTarget};
 use flowrel::netgraph::{GraphKind, Network, NetworkBuilder, NodeId};
 use proptest::prelude::*;
 
@@ -63,31 +64,41 @@ proptest! {
     }
 }
 
-/// Stratified Monte Carlo on a planted-bottleneck instance: the estimator
-/// covers the exact value and does not lose to plain sampling.
+/// Stratified ("dagger") Monte Carlo on a planted-bottleneck instance: the
+/// estimator covers the exact value and does not lose to crude sampling.
 #[test]
 fn stratified_mc_on_bottleneck_instance() {
     let (inst, cut) = flowrel::workloads::generators::barbell(Default::default());
     let d = FlowDemand::new(inst.source, inst.sink, inst.demand);
     let exact = reliability_naive(&inst.net, d, &CalcOptions::default()).unwrap();
-    let strat = flowrel::montecarlo::estimate_stratified(
-        &inst.net,
-        inst.source,
-        inst.sink,
-        inst.demand,
-        &cut,
-        40_000,
-        11,
-    )
-    .unwrap();
+    let run = |estimator, strata| {
+        let settings = McSettings {
+            seed: 11,
+            estimator,
+            strata,
+            target: StopTarget {
+                max_samples: 40_000,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let out = engine::run(
+            &inst.net,
+            inst.source,
+            inst.sink,
+            inst.demand,
+            &settings,
+            &McBudget::unlimited(),
+            false,
+        );
+        *out.unwrap().report()
+    };
+    let strat = run(EstimatorKind::Dagger, cut);
     assert!(
-        strat.covers(exact) || (strat.mean - exact).abs() < 0.01,
-        "stratified {:?} misses exact {exact}",
-        strat
+        (strat.ci_low <= exact && exact <= strat.ci_high) || (strat.mean - exact).abs() < 0.01,
+        "stratified {strat:?} misses exact {exact}"
     );
-    let plain =
-        flowrel::montecarlo::estimate(&inst.net, inst.source, inst.sink, inst.demand, 40_000, 11)
-            .unwrap();
+    let plain = run(EstimatorKind::Crude, Vec::new());
     assert!(
         strat.std_error <= plain.std_error * 1.25,
         "stratification should not inflate variance: {} vs {}",

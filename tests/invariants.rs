@@ -3,7 +3,7 @@
 use flowrel::core::{
     find_all_bottleneck_sets, reliability_naive, validate_bottleneck_set, CalcOptions, FlowDemand,
 };
-use flowrel::montecarlo;
+use flowrel::montecarlo::{engine, EstimatorKind, McBudget, McSettings, StopTarget};
 use flowrel::netgraph::{GraphKind, Network, NetworkBuilder, NodeId};
 use flowrel::workloads::generators;
 use proptest::prelude::*;
@@ -159,11 +159,30 @@ fn monte_carlo_covers_exact() {
     let d = FlowDemand::new(n[0], n[3], 1);
     let exact = reliability_naive(&net, d, &CalcOptions::default()).unwrap();
     for seed in 0..5 {
-        let est = montecarlo::estimate(&net, n[0], n[3], 1, 40_000, seed).unwrap();
+        let settings = McSettings {
+            seed,
+            estimator: EstimatorKind::Crude,
+            target: StopTarget {
+                max_samples: 40_000,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let out = engine::run(
+            &net,
+            n[0],
+            n[3],
+            1,
+            &settings,
+            &McBudget::unlimited(),
+            false,
+        );
+        let r = *out.unwrap().report();
         assert!(
-            est.covers(exact) || (est.mean - exact).abs() < 0.01,
-            "seed {seed}: CI {:?} misses exact {exact}",
-            est.ci95()
+            (r.ci_low <= exact && exact <= r.ci_high) || (r.mean - exact).abs() < 0.01,
+            "seed {seed}: CI [{}, {}] misses exact {exact}",
+            r.ci_low,
+            r.ci_high
         );
     }
 }

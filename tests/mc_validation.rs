@@ -7,9 +7,7 @@ use flowrel::core::{
     reliability_naive, Budget, CalcOptions, Checkpoint, FlowDemand, Outcome, ReliabilityCalculator,
     Strategy,
 };
-use flowrel::montecarlo::{
-    self, engine, EstimatorKind, McBudget, McOutcome, McSettings, StopTarget,
-};
+use flowrel::montecarlo::{engine, EstimatorKind, McBudget, McOutcome, McSettings, StopTarget};
 use flowrel::netgraph::{EdgeId, GraphKind, Network, NetworkBuilder};
 
 /// Two parallel links with `p = 1e-4`: `R = 1 - 1e-8`, the rare-event
@@ -40,25 +38,51 @@ fn small_barbell() -> (Network, FlowDemand, Vec<EdgeId>) {
 }
 
 /// Regression for the degenerate stopping bug: on a `R = 1 - 1e-8`
-/// instance, `estimate_until` used to stop after its first batch with
-/// `std_error == 0` and a zero-width interval excluding the true value.
+/// instance, a CI-width stopping rule must not stop on an all-successes
+/// prefix with `std_error == 0` and a zero-width interval excluding the true
+/// value.
 #[test]
 fn rare_event_interval_is_never_degenerate() {
     let (net, d) = rare_two_links();
     let exact = 1.0 - 1e-8;
-    let est =
-        montecarlo::estimate_until(&net, d.source, d.sink, d.demand, 1e-4, 200_000, 3).unwrap();
+    let settings = McSettings {
+        seed: 3,
+        estimator: EstimatorKind::Crude,
+        target: StopTarget {
+            ci_half: Some(1e-4),
+            max_samples: 200_000,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let out = engine::run(
+        &net,
+        d.source,
+        d.sink,
+        d.demand,
+        &settings,
+        &McBudget::unlimited(),
+        false,
+    )
+    .unwrap();
+    let r = out.report();
     assert!(
-        est.samples > 4096,
-        "an all-successes first batch must not satisfy the stopping rule \
+        r.samples > 4096,
+        "all-successes early batches must not satisfy the stopping rule \
          (stopped at {} samples)",
-        est.samples
+        r.samples
     );
-    let (lo, hi) = est.ci95();
-    assert!(hi > lo, "interval must have nonzero width: [{lo}, {hi}]");
     assert!(
-        est.covers(exact),
-        "[{lo}, {hi}] must cover {exact} even when every sample succeeded"
+        r.ci_high > r.ci_low,
+        "interval must have nonzero width: [{}, {}]",
+        r.ci_low,
+        r.ci_high
+    );
+    assert!(
+        r.ci_low <= exact && exact <= r.ci_high,
+        "[{}, {}] must cover {exact} even when every sample succeeded",
+        r.ci_low,
+        r.ci_high
     );
 }
 
@@ -105,15 +129,6 @@ fn estimators_cover_naive_enumeration() {
             );
         }
     }
-
-    // The plain stratified helper covers too.
-    let strat =
-        montecarlo::estimate_stratified(&net, d.source, d.sink, d.demand, &cut, 30_000, 9).unwrap();
-    assert!(
-        strat.covers(exact) || (strat.mean - exact).abs() < 0.01,
-        "stratified {} misses exact {exact}",
-        strat.mean
-    );
 }
 
 /// For a fixed seed, the serial run, the parallel run, and an
