@@ -2,24 +2,18 @@
 
 use netgraph::{EdgeId, Network};
 
-use crate::algorithm::{reliability_bottleneck_anytime, BottleneckOutcome, BottleneckReport};
 use crate::bottleneck::{find_bottleneck_set, validate_bottleneck_set, BottleneckSet};
 use crate::checkpoint::{
     instance_fingerprint, Checkpoint, CheckpointKind, FactoringCheckpoint, NaiveCheckpoint,
-    PlanCheckpoint, SideCheckpoint,
+    PlanCheckpoint, PlanLeafState,
 };
 use crate::demand::FlowDemand;
 use crate::error::ReliabilityError;
-use crate::factoring::{reliability_factoring, reliability_factoring_anytime, FactoringOutcome};
+use crate::factoring::{reliability_factoring_anytime, FactoringOutcome};
 use crate::naive::{reliability_naive_anytime, NaiveOutcome};
 use crate::options::CalcOptions;
-use crate::plan::{DecompositionPlan, PlanOutcome};
+use crate::plan::{BottleneckReport, DecompositionPlan, PlanOutcome, PLAN_RECURSE_K};
 use crate::reduce::{reduce, Reduction};
-
-/// Recursive-cut cardinality searched below the root split when the strategy
-/// does not name one (explicit [`Strategy::Bottleneck`] cuts and the auto
-/// strategies all recurse with this `k`).
-const PLAN_RECURSE_K: usize = 3;
 
 /// The mixed radices of the instance's state digits, used to stamp and
 /// validate multi-state checkpoints. `None` for all-binary instances, so
@@ -232,8 +226,9 @@ impl ReliabilityCalculator {
     /// sweep runs. `max_depth: 0` restores the flat one-level decomposition.
     ///
     /// With [`CalcOptions::reduce`] (the default) the instance first goes
-    /// through the structural reduction pipeline ([`crate::reduce`]); every
-    /// strategy then sweeps the — exactly equivalent — reduced instance.
+    /// through the structural reduction pipeline
+    /// ([`crate::reduce`](mod@crate::reduce)); every strategy then sweeps
+    /// the — exactly equivalent — reduced instance.
     /// Partial checkpoints stay stamped with the *original* instance
     /// fingerprint plus the reduced shape, so resume re-derives and verifies
     /// the reduction ([`Checkpoint::reduce_shape`]).
@@ -259,21 +254,6 @@ impl ReliabilityCalculator {
                         operation: "the factoring (conditioning) strategy",
                     });
                 }
-                if self.options.budget.is_unlimited() {
-                    // The recursive engine and the flat anytime engine agree
-                    // to ~1e-15 but not bit for bit (the summation order
-                    // differs); keep the long-standing recursive path for
-                    // unbudgeted runs.
-                    let r = reliability_factoring(net, demand, &self.options)?;
-                    return Ok(Outcome::Complete(Box::new(ReliabilityReport {
-                        reliability: r,
-                        certified: true,
-                        interval: (r, r),
-                        algorithm: "factoring",
-                        bottleneck: None,
-                        mc: None,
-                    })));
-                }
                 self.factoring_outcome(net, demand, "factoring", None)
             }
             Strategy::Bottleneck(cut) => {
@@ -286,11 +266,11 @@ impl ReliabilityCalculator {
                     });
                 }
                 let set = validate_bottleneck_set(net, demand.source, demand.sink, cut)?;
-                self.plan_outcome(net, demand, &set, PLAN_RECURSE_K, "bottleneck", None)
+                self.plan_outcome(net, demand, &set, PLAN_RECURSE_K, "bottleneck")
             }
             Strategy::BottleneckAuto { max_k } => {
                 let set = find_bottleneck_set(net, demand.source, demand.sink, *max_k)?;
-                self.plan_outcome(net, demand, &set, *max_k, "bottleneck-auto", None)
+                self.plan_outcome(net, demand, &set, *max_k, "bottleneck-auto")
             }
             Strategy::MonteCarlo(settings) => self.montecarlo_outcome(net, demand, settings),
             Strategy::Auto => self.run_auto(net, demand),
@@ -458,14 +438,38 @@ impl ReliabilityCalculator {
         match &checkpoint.kind {
             CheckpointKind::Naive(ck) => self.naive_outcome(net, demand, "naive", Some(ck)),
             // Flat one-level decomposition checkpoints from before the
-            // recursive planner; still honored so serialized v1 resumes work.
+            // recursive planner translate on load: a depth-0 plan on the
+            // same cut is a single `Cut` slot whose state is exactly the two
+            // side sweeps, so the resume continues them where they stopped.
+            // A further interruption writes `kind plan`.
             CheckpointKind::Bottleneck {
                 cut,
                 side_s,
                 side_t,
             } => {
                 let set = validate_bottleneck_set(net, demand.source, demand.sink, cut)?;
-                self.bottleneck_outcome(net, demand, &set, "bottleneck", Some((side_s, side_t)))
+                let opts = CalcOptions {
+                    max_depth: 0,
+                    recursive_cut_sides: false,
+                    hybrid: false,
+                    ..self.options.clone()
+                };
+                let plan =
+                    DecompositionPlan::plan_on_set(net, demand, &set, &opts, PLAN_RECURSE_K)?;
+                let ck = PlanCheckpoint {
+                    root_cut: set.edges.clone(),
+                    root_max_k: PLAN_RECURSE_K,
+                    max_depth: 0,
+                    recursive_cut_sides: false,
+                    hybrid: false,
+                    shape: plan.shape(),
+                    shares: Vec::new(),
+                    leaves: vec![PlanLeafState::Cut {
+                        side_s: Box::new(side_s.clone()),
+                        side_t: Box::new(side_t.clone()),
+                    }],
+                };
+                self.execute_plan(&plan, net, demand, "bottleneck", &opts, Some(&ck))
             }
             CheckpointKind::Plan(ck) => {
                 let set = validate_bottleneck_set(net, demand.source, demand.sink, &ck.root_cut)?;
@@ -481,15 +485,8 @@ impl ReliabilityCalculator {
                     hybrid: ck.hybrid,
                     ..self.options.clone()
                 };
-                self.plan_outcome_with(
-                    net,
-                    demand,
-                    &set,
-                    ck.root_max_k,
-                    "bottleneck",
-                    &opts,
-                    Some(ck),
-                )
+                let plan = DecompositionPlan::plan_on_set(net, demand, &set, &opts, ck.root_max_k)?;
+                self.execute_plan(&plan, net, demand, "bottleneck", &opts, Some(ck))
             }
             CheckpointKind::Factoring(ck) => {
                 self.factoring_outcome(net, demand, "factoring", Some(ck))
@@ -518,26 +515,23 @@ impl ReliabilityCalculator {
         set: &BottleneckSet,
         max_k: usize,
         algorithm: &'static str,
-        resume: Option<&PlanCheckpoint>,
     ) -> Result<Outcome, ReliabilityError> {
-        self.plan_outcome_with(net, demand, set, max_k, algorithm, &self.options, resume)
+        let plan = DecompositionPlan::plan_on_set(net, demand, set, &self.options, max_k)?;
+        self.execute_plan(&plan, net, demand, algorithm, &self.options, None)
     }
 
-    /// As [`Self::plan_outcome`], with explicit options (resume overrides
-    /// `max_depth` with the checkpoint's planning depth so the re-derived
-    /// tree matches).
-    #[allow(clippy::too_many_arguments)]
-    fn plan_outcome_with(
+    /// Executes a built plan under `opts` (resume pins the planner knobs
+    /// from the checkpoint so the re-derived tree matches) and wraps its
+    /// outcome; a partial result checkpoints as `kind plan`.
+    fn execute_plan(
         &self,
+        plan: &DecompositionPlan,
         net: &Network,
         demand: FlowDemand,
-        set: &BottleneckSet,
-        max_k: usize,
         algorithm: &'static str,
         opts: &CalcOptions,
         resume: Option<&PlanCheckpoint>,
     ) -> Result<Outcome, ReliabilityError> {
-        let plan = DecompositionPlan::plan_on_set(net, demand, set, opts, max_k)?;
         match plan.execute(opts, resume)? {
             PlanOutcome::Complete {
                 reliability,
@@ -665,56 +659,6 @@ impl ReliabilityCalculator {
         }
     }
 
-    /// Runs the budgeted bottleneck decomposition and wraps its outcome.
-    fn bottleneck_outcome(
-        &self,
-        net: &Network,
-        demand: FlowDemand,
-        set: &BottleneckSet,
-        algorithm: &'static str,
-        resume: Option<(&SideCheckpoint, &SideCheckpoint)>,
-    ) -> Result<Outcome, ReliabilityError> {
-        match reliability_bottleneck_anytime(net, demand, set, &self.options, resume)? {
-            BottleneckOutcome::Complete {
-                reliability,
-                report,
-            } => Ok(Outcome::Complete(Box::new(ReliabilityReport {
-                reliability,
-                certified: true,
-                interval: (reliability, reliability),
-                algorithm,
-                bottleneck: Some(report),
-                mc: None,
-            }))),
-            BottleneckOutcome::Partial {
-                r_low,
-                r_high,
-                explored,
-                side_s,
-                side_t,
-                report,
-            } => Ok(Outcome::Partial(Box::new(PartialReport {
-                r_low,
-                r_high,
-                certified: true,
-                explored,
-                algorithm,
-                bottleneck: Some(report),
-                mc: None,
-                checkpoint: Checkpoint {
-                    fingerprint: instance_fingerprint(net, &demand, &self.options),
-                    reduce_shape: None,
-                    radices: net_radices(net),
-                    kind: CheckpointKind::Bottleneck {
-                        cut: set.edges.clone(),
-                        side_s: *side_s,
-                        side_t: *side_t,
-                    },
-                },
-            }))),
-        }
-    }
-
     /// Bridges the exact engine's [`crate::budget::Budget`] into the
     /// sampler's [`montecarlo::McBudget`]: the deadline carries over, the
     /// configuration allowance becomes a sample allowance, and the cancel
@@ -746,7 +690,7 @@ impl ReliabilityCalculator {
                 resolved.estimator = montecarlo::EstimatorKind::Permutation;
                 return resolved;
             }
-            match find_bottleneck_set(net, demand.source, demand.sink, 3) {
+            match find_bottleneck_set(net, demand.source, demand.sink, PLAN_RECURSE_K) {
                 Ok(set) if set.edges.len() <= montecarlo::MAX_STRATA_LINKS => {
                     resolved.estimator = montecarlo::EstimatorKind::Dagger;
                     resolved.strata = set.edges;
@@ -831,11 +775,10 @@ impl ReliabilityCalculator {
     /// uniform explored metric); fall back to naive only when factoring's
     /// (looser) edge bound also trips.
     fn run_auto(&self, net: &Network, demand: FlowDemand) -> Result<Outcome, ReliabilityError> {
-        if let Ok(set) = find_bottleneck_set(net, demand.source, demand.sink, 3) {
+        if let Ok(set) = find_bottleneck_set(net, demand.source, demand.sink, PLAN_RECURSE_K) {
             let worth_it = set.side_s_edges.max(set.side_t_edges) + 2 < net.edge_count();
             if worth_it {
-                match self.plan_outcome(net, demand, &set, PLAN_RECURSE_K, "auto:bottleneck", None)
-                {
+                match self.plan_outcome(net, demand, &set, PLAN_RECURSE_K, "auto:bottleneck") {
                     Ok(out) => return Ok(out),
                     Err(
                         ReliabilityError::TooManyAssignments { .. }
@@ -851,15 +794,7 @@ impl ReliabilityCalculator {
             // the (mixed-radix) naive sweep instead
             return self.naive_outcome(net, demand, "auto:naive", None);
         }
-        let r = reliability_factoring(net, demand, &self.options)?;
-        Ok(Outcome::Complete(Box::new(ReliabilityReport {
-            reliability: r,
-            certified: true,
-            interval: (r, r),
-            algorithm: "auto:factoring",
-            bottleneck: None,
-            mc: None,
-        })))
+        self.factoring_outcome(net, demand, "auto:factoring", None)
     }
 }
 

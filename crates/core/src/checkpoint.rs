@@ -207,11 +207,12 @@ pub struct Checkpoint {
     /// or not structural reduction ran.
     pub fingerprint: u64,
     /// When the run swept a structurally reduced instance
-    /// ([`crate::reduce`]), the fingerprint of that reduced instance. The
-    /// resuming process re-runs the (deterministic) reduction and verifies
-    /// the shape before splicing cursors back in; `None` means the sweep ran
-    /// on the original instance, so legacy checkpoints — whose text form has
-    /// no `reduce-shape` line — resume exactly as before.
+    /// ([`crate::reduce`](mod@crate::reduce)), the fingerprint of that
+    /// reduced instance. The resuming process re-runs the (deterministic)
+    /// reduction and verifies the shape before splicing cursors back in;
+    /// `None` means the sweep ran on the original instance, so legacy
+    /// checkpoints — whose text form has no `reduce-shape` line — resume
+    /// exactly as before.
     pub reduce_shape: Option<u64>,
     /// When the run enumerated a multi-state instance, the mixed radices of
     /// its state digits (one entry per digit, each ≥ 2), validated against

@@ -202,16 +202,18 @@ pub fn reliability_factoring_anytime(
         return reliability_factoring_anytime(&reduced.net, reduced.demand, opts, resume);
     }
     let m = net.edge_count();
-    if m > EdgeMask::MAX_EDGES {
-        return Err(ReliabilityError::EdgeMaskOverflow {
-            count: m,
-            max: EdgeMask::MAX_EDGES,
-        });
-    }
+    // same refusal order as the recursive engine: the size bound first,
+    // then the 64-bit mask wall a raised `max_enum_edges` must still meet
     if m > opts.max_enum_edges.max(40) {
         return Err(ReliabilityError::TooManyEdges {
             count: m,
             max: opts.max_enum_edges.max(40),
+        });
+    }
+    if m > EdgeMask::MAX_EDGES {
+        return Err(ReliabilityError::EdgeMaskOverflow {
+            count: m,
+            max: EdgeMask::MAX_EDGES,
         });
     }
     if demand.demand == 0 {

@@ -18,7 +18,10 @@
 //! * [`algorithm::reliability_bottleneck`] — the paper's main contribution:
 //!   decomposition along a set of α-bottleneck links, per-side realization
 //!   arrays (Section III-C), and inclusion–exclusion accumulation over
-//!   supported assignments (Section IV);
+//!   supported assignments (Section IV). This is the unbudgeted reference
+//!   engine, generic over the weight domain; budgeted, resumable and
+//!   recursive decompositions run through [`plan::DecompositionPlan`],
+//!   whose flat `Cut` leaves sweep the same side spectra;
 //! * [`factoring::reliability_factoring`] — classic conditioning with
 //!   flow-based pruning, an additional exact comparator;
 //! * [`calculator::ReliabilityCalculator`] — picks a strategy automatically
@@ -63,10 +66,7 @@ pub mod table;
 pub mod weight;
 
 pub use accumulate::{combine_interval, AccumulationMethod};
-pub use algorithm::{
-    reliability_bottleneck, reliability_bottleneck_anytime, reliability_bottleneck_anytime_on,
-    reliability_bottleneck_exact, BottleneckOutcome, BottleneckReport, PlanSlotReport,
-};
+pub use algorithm::{reliability_bottleneck, reliability_bottleneck_exact};
 pub use assign::{enumerate_assignments, Assignment, AssignmentModel};
 pub use bottleneck::{
     find_all_bottleneck_sets, find_bottleneck_set, validate_bottleneck_set, BottleneckSet,
@@ -102,7 +102,8 @@ pub use nodefail::{split_node_failures, NodeSplit};
 pub use options::CalcOptions;
 pub use oracle::{DemandOracle, SideOracle};
 pub use plan::{
-    CutNode, DecompositionPlan, DeepCutNode, LeafNode, PlanNode, PlanOutcome, SidePlan, SweepNode,
+    BottleneckReport, CutNode, DecompositionPlan, DeepCutNode, LeafNode, PlanNode, PlanOutcome,
+    PlanSlotReport, SidePlan, SweepNode,
 };
 pub use polynomial::{reliability_polynomial, ReliabilityPolynomial};
 pub use preprocess::{relevance_reduce, RelevantNetwork};

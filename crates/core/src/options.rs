@@ -92,12 +92,12 @@ pub struct CalcOptions {
     /// bottleneck, permutation otherwise). Ignored unless
     /// [`hybrid`](Self::hybrid) is set.
     pub hybrid_mc: McSettings,
-    /// Run the structural reduction pipeline ([`crate::reduce`]) — capacity-
-    /// factor pruning, forced-link conditioning, parallel-link merging — on
-    /// the instance before planning or sweeping. Exact: the reduced instance
-    /// has the identical reliability; reports and checkpoints carry a
-    /// reconstruction map back to original link ids. `--no-reduce` on the
-    /// CLI turns it off.
+    /// Run the structural reduction pipeline
+    /// ([`crate::reduce`](mod@crate::reduce)) — capacity-factor pruning,
+    /// forced-link conditioning, parallel-link merging — on the instance
+    /// before planning or sweeping. Exact: the reduced instance has the
+    /// identical reliability; reports and checkpoints carry a reconstruction
+    /// map back to original link ids. `--no-reduce` on the CLI turns it off.
     pub reduce: bool,
 }
 

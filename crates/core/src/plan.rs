@@ -20,8 +20,9 @@
 //!   `x_i` across cut link `i`, so the sides are independent given the cut
 //!   links with `x_i ≠ 0` alive (Eq. 1 generalized to `k ≥ 1`):
 //!   `[up·lo_L·lo_R, up·hi_L·hi_R]` with `up = Π_{x_i≠0} (1 − p(e_i))`.
-//! - [`PlanNode::Cut`] — a general bottleneck split executed whole by the
-//!   PR-1 spectrum engine, which produces its own certified interval.
+//! - [`PlanNode::Cut`] — a general bottleneck split whose two sides are
+//!   swept whole, by the same side-sweep code a `DeepCut`'s `Sweep` sides
+//!   run, and combined by the same interval rule.
 //! - [`PlanNode::DeepCut`] — a general bottleneck split whose sides are
 //!   themselves decomposed ([`SidePlan`]): each side is either swept whole
 //!   or *peeled* at an internal cut that separates the side's terminal from
@@ -38,8 +39,8 @@
 //!   engine, which produces its own certified interval.
 //!
 //! The interpreter ([`DecompositionPlan::execute`]) apportions the budget
-//! hierarchically: at every fork (the two sides of a `Bridge` or `DeepCut`,
-//! or a peel's scalar/residual pair) the parent sentinel's whole remaining
+//! hierarchically: at every fork (the two sides of a `Bridge`, `Cut` or
+//! `DeepCut`, or a peel's scalar/residual pair) the parent sentinel's whole remaining
 //! allowance is split into per-subtree [`BudgetSentinel`] children
 //! proportional to each subtree's *remaining* predicted cost (resume-aware,
 //! so finished subtrees get nothing). A subtree that finishes early releases
@@ -85,11 +86,7 @@
 
 use netgraph::{EdgeId, EdgeMask, GraphKind, Network, NodeId};
 
-use crate::accumulate::{combine_interval, combine_spectra};
-use crate::algorithm::{
-    explored_mass, live_mask, reliability_bottleneck_anytime_on, side_resume, BottleneckOutcome,
-    BottleneckReport, PlanSlotReport,
-};
+use crate::accumulate::{combine_interval, combine_spectra, AccumulationMethod};
 use crate::assign::{
     crossing_ranges, enumerate_assignments, supported_assignment_masks, Assignment, AssignmentModel,
 };
@@ -107,7 +104,7 @@ use crate::preprocess::relevance_reduce;
 use crate::reduce::{reduce, ReduceStats};
 use crate::spectrum::MaskMass;
 use crate::spreduce::{reduce_unit_demand, ReductionStats};
-use crate::sweep::{sweep_spectrum_budgeted, SweepConfig};
+use crate::sweep::{sweep_spectrum_budgeted, PartialSpectrum, SweepConfig};
 use crate::weight::edge_weights;
 use montecarlo::{McCheckpoint, McOutcome, McReport, McSettings};
 
@@ -115,6 +112,52 @@ use montecarlo::{McCheckpoint, McOutcome, McReport, McSettings};
 /// with a scalar subtree *plus* a residual side, so it cannot pay off below
 /// a few links.
 const PEEL_MIN_EDGES: usize = 4;
+
+/// Largest bottleneck-set cardinality searched wherever no caller names one:
+/// recursive cuts below an explicit root split, the auto strategy's root
+/// search, and the dagger-strata search of auto-resolved Monte-Carlo runs.
+pub(crate) const PLAN_RECURSE_K: usize = 3;
+
+/// What the bottleneck decomposition did, for reporting and experiments.
+#[derive(Clone, Debug)]
+pub struct BottleneckReport {
+    /// The bottleneck set used.
+    pub set: BottleneckSet,
+    /// Size of the assignment set `|D|`.
+    pub assignment_count: usize,
+    /// `α` of the decomposition.
+    pub alpha: f64,
+    /// Sweep-engine counters, merged over every side and leaf sweep
+    /// (configurations tested, solver calls, certificate hits).
+    pub sweep: SweepStats,
+    /// Per-leaf-slot planner accounting (empty for the unbudgeted reference
+    /// engine): how the plan interpreter apportioned the budget and what
+    /// each sweep actually cost. See [`PlanSlotReport`].
+    pub plan_slots: Vec<PlanSlotReport>,
+}
+
+/// Budget and cost accounting for one plan leaf slot, in DFS slot order.
+#[derive(Clone, Debug)]
+pub struct PlanSlotReport {
+    /// DFS slot index (matches `leaf #i` / `sweep #i` in the rendered plan).
+    pub index: usize,
+    /// Leaf kind: `"naive"`, `"cut"`, `"sweep"`, or — in hybrid mode, when
+    /// the budget forced this scalar leaf to be estimated statistically —
+    /// `"mc"` (in that case `configs`/`explored` count samples).
+    pub kind: &'static str,
+    /// Configurations the planner predicted this slot still had to
+    /// enumerate when the run started (resume-aware).
+    pub predicted: f64,
+    /// Cost-proportional fraction of the configuration budget the
+    /// apportioner grants this slot's subtree (predicted cost over the total
+    /// predicted cost; the sentinel fork uses exactly this ratio when the
+    /// budget tracks a configuration allowance).
+    pub share: f64,
+    /// Configurations the sweep actually tested during this run.
+    pub configs: u64,
+    /// Fraction of this slot's own configuration space explored so far.
+    pub explored: f64,
+}
 
 /// A leaf: an atomic subnetwork swept exhaustively by the naive engine.
 #[derive(Clone, Debug)]
@@ -133,7 +176,7 @@ pub struct LeafNode {
     pub index: usize,
 }
 
-/// A general bottleneck split executed by the one-level spectrum engine.
+/// A general bottleneck split whose two sides are swept whole.
 #[derive(Clone, Debug)]
 pub struct CutNode {
     /// The (sub)network the split applies to.
@@ -162,7 +205,7 @@ pub struct SweepNode {
 /// How one side of a [`DeepCutNode`] is evaluated.
 #[derive(Clone, Debug)]
 pub enum SidePlan {
-    /// Sweep the side whole with the PR-1 side-spectrum engine.
+    /// Sweep the side whole against the cut's assignment set.
     Sweep(Box<SweepNode>),
     /// Peel the side at an internal cut separating its terminal from every
     /// attach point with a unique all-nonnegative crossing `x'`:
@@ -180,7 +223,7 @@ pub enum SidePlan {
 }
 
 /// A bottleneck split whose sides are recursively decomposed instead of
-/// being handed whole to the one-level engine.
+/// being swept whole.
 #[derive(Clone, Debug)]
 pub struct DeepCutNode {
     /// The validated bottleneck set of the parent network.
@@ -238,15 +281,16 @@ pub enum PlanNode {
         /// Sink-side subproblem (with a super-terminal producing `x`).
         right: Box<PlanNode>,
     },
-    /// A bottleneck split with more than one feasible assignment, executed
-    /// whole by the one-level spectrum engine.
+    /// A bottleneck split whose two sides are swept whole: more than one
+    /// feasible assignment, or no depth left for a `Bridge`.
     Cut(Box<CutNode>),
     /// A bottleneck split whose sides are recursively decomposed.
     DeepCut(Box<DeepCutNode>),
-    /// Structural reduction ([`crate::reduce`]) rewrote this subproblem —
-    /// capacity-factor pruning, perfect-link contraction, parallel-link
-    /// merging — and the child is planned on the reduced instance. The
-    /// reduction is value-exact, so the interval passes through unchanged.
+    /// Structural reduction ([`crate::reduce`](mod@crate::reduce)) rewrote
+    /// this subproblem — capacity-factor pruning, perfect-link contraction,
+    /// parallel-link merging — and the child is planned on the reduced
+    /// instance. The reduction is value-exact, so the interval passes
+    /// through unchanged.
     /// `origin` is the reconstruction map: `origin[i]` lists the original
     /// link ids that reduced link `i` stands for, so renders and per-leaf
     /// accounting can speak in the caller's ids.
@@ -419,9 +463,9 @@ impl DecompositionPlan {
         cost(&self.root)
     }
 
-    /// The plan's run report, shaped like the one-level engine's so callers
-    /// (and tests) keep seeing the root geometry, plus per-slot budget and
-    /// cost accounting.
+    /// The plan's run report, shaped like the reference engine's
+    /// ([`crate::algorithm`]) so callers (and tests) keep seeing the root
+    /// geometry, plus per-slot budget and cost accounting.
     pub fn report(
         &self,
         net: &Network,
@@ -816,9 +860,7 @@ fn exec_node(
                 Some(PlanLeafState::MonteCarlo(ck)) => {
                     return exec_mc_leaf(&cut.net, cut.demand, cut.index, ctx, sentinel, Some(ck));
                 }
-                Some(PlanLeafState::Cut { side_s, side_t }) => {
-                    Some((side_s.clone(), side_t.clone()))
-                }
+                Some(PlanLeafState::Cut { side_s, side_t }) => Some((&**side_s, &**side_t)),
                 None | Some(PlanLeafState::Fresh) => None,
                 Some(_) => {
                     return Err(mismatch("checkpoint stores a foreign state for a cut leaf"))
@@ -827,58 +869,7 @@ fn exec_node(
             if resume.is_none() && ctx.should_sample(remaining_cost(node, ctx.resume), sentinel) {
                 return exec_mc_leaf(&cut.net, cut.demand, cut.index, ctx, sentinel, None);
             }
-            let out = reliability_bottleneck_anytime_on(
-                &cut.net,
-                cut.demand,
-                &cut.set,
-                ctx.opts,
-                sentinel,
-                resume.as_ref().map(|(s, t)| (s.as_ref(), t.as_ref())),
-            )?;
-            let (eval, slot) = match out {
-                BottleneckOutcome::Complete {
-                    reliability,
-                    report,
-                } => (
-                    Eval {
-                        point: reliability,
-                        lo: reliability,
-                        hi: reliability,
-                        complete: true,
-                        certified: true,
-                    },
-                    LeafSlot {
-                        state: PlanLeafState::Done { value: reliability },
-                        explored: 1.0,
-                        stats: report.sweep,
-                    },
-                ),
-                BottleneckOutcome::Partial {
-                    r_low,
-                    r_high,
-                    explored,
-                    side_s,
-                    side_t,
-                    report,
-                } => (
-                    Eval {
-                        point: 0.5 * (r_low + r_high),
-                        lo: r_low,
-                        hi: r_high,
-                        complete: false,
-                        certified: true,
-                    },
-                    LeafSlot {
-                        state: PlanLeafState::Cut { side_s, side_t },
-                        explored,
-                        stats: report.sweep,
-                    },
-                ),
-            };
-            Ok(SubtreeOut {
-                eval,
-                slots: vec![slot],
-            })
+            exec_cut(cut, resume, ctx, sentinel)
         }
         PlanNode::DeepCut(dc) => exec_deepcut(dc, ctx, sentinel),
     }
@@ -1074,7 +1065,7 @@ fn resolve_leaf_mc(
             s.strata = Vec::new();
             return s;
         }
-        match find_bottleneck_set(net, demand.source, demand.sink, 3) {
+        match find_bottleneck_set(net, demand.source, demand.sink, PLAN_RECURSE_K) {
             Ok(set) if set.edges.len() <= montecarlo::MAX_STRATA_LINKS => {
                 s.estimator = montecarlo::EstimatorKind::Dagger;
                 s.strata = set.edges;
@@ -1113,43 +1104,14 @@ fn exec_deepcut(
         |sent| exec_side(&dc.side_t, dc, &side_ctx, sent),
     );
     let (s, t) = (s?, t?);
-    let eval = if s.complete && t.complete {
-        let r = combine_spectra(
-            &dc.cut_weights,
-            &dc.support,
-            &s.mass,
-            &t.mass,
-            opts.accumulation,
-        );
-        Eval {
-            point: r,
-            lo: r,
-            hi: r,
-            complete: true,
-            certified: true,
-        }
-    } else {
-        let (sum_s, sum_t) = (explored_mass(&s.mass), explored_mass(&t.mass));
-        let (lo, hi) = combine_interval(
-            &dc.cut_weights,
-            &dc.support,
-            &s.mass,
-            &(1.0 - sum_s).max(0.0),
-            live_mask(&s.live),
-            &t.mass,
-            &(1.0 - sum_t).max(0.0),
-            live_mask(&t.live),
-            opts.accumulation,
-        );
-        let lo = lo.clamp(0.0, 1.0);
-        Eval {
-            point: 0.5 * (lo + hi.clamp(lo, 1.0)),
-            lo,
-            hi: hi.clamp(lo, 1.0),
-            complete: false,
-            certified: true,
-        }
-    };
+    let eval = settle_spectra(
+        &dc.cut_weights,
+        &dc.support,
+        (&s.mass, &s.live),
+        (&t.mass, &t.live),
+        s.complete && t.complete,
+        opts.accumulation,
+    );
     let mut slots = s.slots;
     slots.extend(t.slots);
     Ok(SubtreeOut { eval, slots })
@@ -1202,67 +1164,264 @@ fn exec_sweep(
     ctx: &ExecCtx<'_>,
     sentinel: &BudgetSentinel,
 ) -> Result<SideOut, ReliabilityError> {
-    let opts = ctx.opts;
-    let dn = dc.assignments.len();
-    let mut oracle = SideOracle::new(&sw.side, &dc.assignments, opts.solver)?;
-    let m = oracle.edge_count();
-    let (live, res) = match ctx.leaf_state(sw.index) {
-        None | Some(PlanLeafState::Fresh) => {
-            let live: Vec<usize> = (0..dn)
-                .filter(|&j| !opts.prune_infeasible_assignments || oracle.feasible_at_best(j))
-                .collect();
-            (live, None)
-        }
-        Some(PlanLeafState::Side(ck)) => {
-            let (live, part) = side_resume(ck, "side-sweep", m, dn)?;
-            (live, Some(part))
-        }
+    let resume = match ctx.leaf_state(sw.index) {
+        None | Some(PlanLeafState::Fresh) => None,
+        Some(PlanLeafState::Side(ck)) => Some(&**ck),
         Some(_) => {
             return Err(mismatch(
                 "checkpoint stores a foreign state for a sweep leaf",
             ))
         }
     };
-    let weights = edge_weights(&sw.side.net);
-    let cfg = SweepConfig::from_opts(opts);
-    let (part, stats) = sweep_spectrum_budgeted(&oracle, &live, &weights, dn, &cfg, sentinel, res);
-    let complete = part.is_complete();
-    let total = 1u64 << m;
-    let explored = 1.0 - part.remaining_configs() as f64 / total as f64;
+    let (ck, stats) = sweep_side(
+        &sw.side,
+        &dc.assignments,
+        resume,
+        "side-sweep",
+        ctx.opts,
+        sentinel,
+    )?;
     // The slot state keeps the raw spectrum for resume while the parent cut
     // works on its own copy (a peel rescales it); both hold only the
-    // realized masks.
-    let mass = part.mass.clone();
-    // Even a completed sweep stays a `Side` state (with nothing remaining):
-    // the parent cut needs the mass vector, not a scalar, so `Done` never
-    // applies to sweep slots. Resuming a completed sweep is a no-op.
-    let state = PlanLeafState::Side(Box::new(SideCheckpoint {
-        cursor: SweepCursor {
-            total,
-            remaining: part.remaining,
-        },
-        live: live.clone(),
-        mass: part.mass,
-        certs: part.certs,
-    }));
+    // realized masks. Even a completed sweep stays a `Side` state (with
+    // nothing remaining): the parent cut needs the mass vector, not a
+    // scalar, so `Done` never applies to sweep slots. Resuming a completed
+    // sweep is a no-op.
     Ok(SideOut {
-        mass,
-        live,
-        complete,
+        mass: ck.mass.clone(),
+        live: ck.live.clone(),
+        complete: ck.cursor.remaining.is_empty(),
         slots: vec![LeafSlot {
-            state,
-            explored,
+            explored: ck.cursor.progress(),
+            state: PlanLeafState::Side(Box::new(ck)),
             stats,
         }],
     })
+}
+
+/// Executes a flat [`PlanNode::Cut`]: the sweep budget is forked between
+/// the two sides like any other fork, each side is swept whole by
+/// [`sweep_side`], and [`settle_spectra`] combines them. A finished cut
+/// collapses to a `Done` slot; an interrupted one keeps both sides' resume
+/// states in its single slot.
+fn exec_cut(
+    cut: &CutNode,
+    resume: Option<(&SideCheckpoint, &SideCheckpoint)>,
+    ctx: &ExecCtx<'_>,
+    sentinel: &BudgetSentinel,
+) -> Result<SubtreeOut, ReliabilityError> {
+    let opts = ctx.opts;
+    let set = &cut.set;
+    let ranges = crossing_ranges(
+        &cut.net,
+        &set.edges,
+        &set.forward_oriented,
+        cut.demand.demand,
+        opts.assignment_model,
+    );
+    let assignments = enumerate_assignments(cut.demand.demand, &ranges);
+    let dn = assignments.len();
+    let dec = decompose(&cut.net, &cut.demand, set);
+    let (res_s, res_t) = resume.unzip();
+    let (sa, sb) = fork2(
+        sentinel,
+        side_work(set.side_s_edges, dn, res_s),
+        side_work(set.side_t_edges, dn, res_t),
+    );
+    let (s, t) = join2(
+        opts.parallel,
+        sa,
+        sb,
+        |sent| sweep_side(&dec.side_s, &assignments, res_s, "source-side", opts, sent),
+        |sent| sweep_side(&dec.side_t, &assignments, res_t, "sink-side", opts, sent),
+    );
+    let ((ck_s, mut stats), (ck_t, stats_t)) = (s?, t?);
+    stats.merge(&stats_t);
+    let complete = ck_s.cursor.remaining.is_empty() && ck_t.cursor.remaining.is_empty();
+    let eval = settle_spectra(
+        &cut_link_weights(&cut.net, &set.edges),
+        &supported_assignment_masks(&assignments, set.edges.len()),
+        (&ck_s.mass, &ck_s.live),
+        (&ck_t.mass, &ck_t.live),
+        complete,
+        opts.accumulation,
+    );
+    let slot = if complete {
+        LeafSlot {
+            state: PlanLeafState::Done { value: eval.point },
+            explored: 1.0,
+            stats,
+        }
+    } else {
+        LeafSlot {
+            explored: (explored_mass(&ck_s.mass) * explored_mass(&ck_t.mass)).clamp(0.0, 1.0),
+            state: PlanLeafState::Cut {
+                side_s: Box::new(ck_s),
+                side_t: Box::new(ck_t),
+            },
+            stats,
+        }
+    };
+    Ok(SubtreeOut {
+        eval,
+        slots: vec![slot],
+    })
+}
+
+/// Sweeps one side of a cut against the cut's assignment set under
+/// `sentinel` — fresh, or continuing an interrupted run's `resume` state —
+/// and returns the side's new resume state (cursor, live assignments,
+/// partial spectrum, certificate warm-start) with the sweep's counters.
+/// Flat `Cut` leaves and the `Sweep` sides of a `DeepCut` both run it.
+fn sweep_side(
+    side: &Side,
+    assignments: &[Assignment],
+    resume: Option<&SideCheckpoint>,
+    which: &str,
+    opts: &CalcOptions,
+    sentinel: &BudgetSentinel,
+) -> Result<(SideCheckpoint, SweepStats), ReliabilityError> {
+    let dn = assignments.len();
+    let mut oracle = SideOracle::new(side, assignments, opts.solver)?;
+    let m = oracle.edge_count();
+    let (live, res) = match resume {
+        Some(ck) => {
+            let (live, part) = side_resume(ck, which, m, dn)?;
+            (live, Some(part))
+        }
+        None => {
+            let live = (0..dn)
+                .filter(|&j| !opts.prune_infeasible_assignments || oracle.feasible_at_best(j))
+                .collect();
+            (live, None)
+        }
+    };
+    let weights = edge_weights(&side.net);
+    let cfg = SweepConfig::from_opts(opts);
+    let (part, stats) = sweep_spectrum_budgeted(&oracle, &live, &weights, dn, &cfg, sentinel, res);
+    let ck = SideCheckpoint {
+        cursor: SweepCursor {
+            total: 1u64 << m,
+            remaining: part.remaining,
+        },
+        live,
+        mass: part.mass,
+        certs: part.certs,
+    };
+    Ok((ck, stats))
+}
+
+/// Validates a side checkpoint against this side and unpacks it into the
+/// sweep engine's resume form. The checkpoint's `live` set is
+/// authoritative — it records which assignments the interrupted run swept.
+fn side_resume(
+    ck: &SideCheckpoint,
+    which: &str,
+    m: usize,
+    dn: usize,
+) -> Result<(Vec<usize>, PartialSpectrum<f64>), ReliabilityError> {
+    if ck.cursor.total != 1u64 << m {
+        return Err(mismatch(format!(
+            "{which} checkpoint enumerates {} configurations, this side {}",
+            ck.cursor.total,
+            1u64 << m
+        )));
+    }
+    if ck.mass.slots() != 1usize << dn {
+        return Err(mismatch(format!(
+            "{which} checkpoint carries {} mask masses, this instance needs {}",
+            ck.mass.slots(),
+            1usize << dn
+        )));
+    }
+    if let Some(&j) = ck.live.iter().find(|&&j| j >= dn) {
+        return Err(mismatch(format!(
+            "{which} checkpoint marks assignment {j} live, only {dn} exist"
+        )));
+    }
+    Ok((
+        ck.live.clone(),
+        PartialSpectrum {
+            mass: ck.mass.clone(),
+            remaining: ck.cursor.remaining.clone(),
+            certs: ck.certs.clone(),
+        },
+    ))
+}
+
+/// Settles a cut's two side spectra into an interval: the exact
+/// accumulation when both sides are complete, otherwise the two sound
+/// completions of [`combine_interval`] — each side's unexplored mass
+/// injected at mask `0` for the lower bound and at its live mask for the
+/// upper — clamped to `[0, 1]`.
+fn settle_spectra(
+    cut_weights: &[(f64, f64)],
+    support: &[u32],
+    (mass_s, live_s): (&MaskMass<f64>, &[usize]),
+    (mass_t, live_t): (&MaskMass<f64>, &[usize]),
+    complete: bool,
+    method: AccumulationMethod,
+) -> Eval {
+    if complete {
+        let r = combine_spectra(cut_weights, support, mass_s, mass_t, method);
+        return Eval {
+            point: r,
+            lo: r,
+            hi: r,
+            complete: true,
+            certified: true,
+        };
+    }
+    let (sum_s, sum_t) = (explored_mass(mass_s), explored_mass(mass_t));
+    let (lo, hi) = combine_interval(
+        cut_weights,
+        support,
+        mass_s,
+        &(1.0 - sum_s).max(0.0),
+        live_mask(live_s),
+        mass_t,
+        &(1.0 - sum_t).max(0.0),
+        live_mask(live_t),
+        method,
+    );
+    let lo = lo.clamp(0.0, 1.0);
+    let hi = hi.clamp(lo, 1.0);
+    Eval {
+        point: 0.5 * (lo + hi),
+        lo,
+        hi,
+        complete: false,
+        certified: true,
+    }
+}
+
+/// `(alive, failed)` weight pairs of a cut's links.
+fn cut_link_weights(net: &Network, cut: &[EdgeId]) -> Vec<(f64, f64)> {
+    cut.iter()
+        .map(|&e| {
+            let p = net.edge(e).fail_prob;
+            (1.0 - p, p)
+        })
+        .collect()
+}
+
+/// Probability mass a partial side spectrum has explored, clamped to
+/// `[0, 1]`.
+fn explored_mass(mass: &MaskMass<f64>) -> f64 {
+    mass.total().clamp(0.0, 1.0)
+}
+
+/// Bit mask of the live assignment indices.
+fn live_mask(live: &[usize]) -> u32 {
+    live.iter().fold(0u32, |a, &j| a | 1 << j)
 }
 
 /// Builds the node for a split on an explicit, validated set. Emits a
 /// [`PlanNode::Bridge`] (recursing into the sides) when the assignment set
 /// is a single all-nonnegative assignment and depth remains; otherwise
 /// tries a [`PlanNode::DeepCut`] with recursively decomposed sides, falling
-/// back to a [`PlanNode::Cut`] for the one-level engine — after checking
-/// the same enumeration bounds that engine would.
+/// back to a [`PlanNode::Cut`] whose sides are swept whole — after checking
+/// the enumeration bounds those side sweeps need.
 fn split_node(
     net: &Network,
     demand: FlowDemand,
@@ -1303,15 +1462,15 @@ fn split_node(
             right: Box::new(right),
         });
     }
-    // The one-level cut engine and DeepCut sweep sides as binary spectra,
+    // Cut and DeepCut sides are swept as binary spectra,
     // which cannot represent per-link state mixtures. A multi-state
     // subnetwork therefore never splits further in v1: it is swept whole by
     // a scalar leaf, whose naive engine enumerates mixed-radix natively.
     if net.has_multistate() {
         return leaf_node(net, demand, opts);
     }
-    // One-level engine bounds: checked at plan time either way, so the
-    // caller learns the plan is infeasible before any budget is spent.
+    // Side-sweep bounds: checked at plan time, so the caller learns the
+    // plan is infeasible before any budget is spent.
     if assignments.len() > opts.max_assignments || assignments.len() > 31 {
         return Err(ReliabilityError::TooManyAssignments {
             count: assignments.len(),
@@ -1390,14 +1549,11 @@ fn deep_cut_node(
     if matches!(side_s, SidePlan::Sweep(_)) && matches!(side_t, SidePlan::Sweep(_)) {
         return Ok(None);
     }
-    let weights = edge_weights(net);
-    let cut_weights: Vec<(f64, f64)> = dec.cut.iter().map(|&e| weights[e.index()]).collect();
-    let support = supported_assignment_masks(assignments, set.edges.len());
     Ok(Some(PlanNode::DeepCut(Box::new(DeepCutNode {
         set: set.clone(),
         assignments: assignments.to_vec(),
-        cut_weights,
-        support,
+        cut_weights: cut_link_weights(net, &set.edges),
+        support: supported_assignment_masks(assignments, set.edges.len()),
         side_s,
         side_t,
     }))))
@@ -1695,8 +1851,8 @@ fn build_node(
                 let assignments = enumerate_assignments(demand.demand, &ranges);
                 match split_node(net, demand, &set, assignments, depth, opts, max_k) {
                     Ok(node) => return Ok(node),
-                    // The split exceeds the one-level engine's bounds; a
-                    // plain leaf may still fit.
+                    // The split exceeds the side-sweep bounds; a plain
+                    // leaf may still fit.
                     Err(
                         ReliabilityError::TooManyAssignments { .. }
                         | ReliabilityError::SideTooLarge { .. },
@@ -1955,7 +2111,7 @@ fn cost(node: &PlanNode) -> f64 {
 
 fn side_cost(sp: &SidePlan) -> f64 {
     match sp {
-        SidePlan::Sweep(sw) => sw.dn as f64 * (1u64 << sw.side.net.edge_count().min(63)) as f64,
+        SidePlan::Sweep(sw) => side_work(sw.side.net.edge_count(), sw.dn, None),
         SidePlan::Peel { scalar, inner, .. } => cost(scalar) + side_cost(inner),
     }
 }
@@ -1977,8 +2133,8 @@ fn remaining_cost(node: &PlanNode, resume: Option<&PlanCheckpoint>) -> f64 {
         PlanNode::Cut(c) => match state(c.index) {
             Some(PlanLeafState::Done { .. } | PlanLeafState::McDone { .. }) => 0.0,
             Some(PlanLeafState::Cut { side_s, side_t }) => {
-                side_s.live.len().max(1) as f64 * side_s.cursor.remaining_configs() as f64
-                    + side_t.live.len().max(1) as f64 * side_t.cursor.remaining_configs() as f64
+                side_work(c.set.side_s_edges, c.assignments, Some(side_s.as_ref()))
+                    + side_work(c.set.side_t_edges, c.assignments, Some(side_t.as_ref()))
             }
             Some(PlanLeafState::MonteCarlo(mc)) => mc_remaining(mc),
             _ => cost(node),
@@ -2003,15 +2159,26 @@ fn mc_remaining(mc: &McCheckpoint) -> f64 {
 
 fn side_remaining(sp: &SidePlan, resume: Option<&PlanCheckpoint>) -> f64 {
     match sp {
-        SidePlan::Sweep(sw) => match resume.and_then(|ck| ck.leaves.get(sw.index)) {
-            Some(PlanLeafState::Side(ck)) => {
-                ck.live.len().max(1) as f64 * ck.cursor.remaining_configs() as f64
-            }
-            _ => side_cost(sp),
-        },
+        SidePlan::Sweep(sw) => {
+            let ck = match resume.and_then(|ck| ck.leaves.get(sw.index)) {
+                Some(PlanLeafState::Side(ck)) => Some(&**ck),
+                _ => None,
+            };
+            side_work(sw.side.net.edge_count(), sw.dn, ck)
+        }
         SidePlan::Peel { scalar, inner, .. } => {
             remaining_cost(scalar, resume) + side_remaining(inner, resume)
         }
+    }
+}
+
+/// Predicted work left in one side sweep over `m` links against `dn`
+/// assignments: `dn · 2^m` fresh, `live · remaining` once a checkpoint
+/// records the side's cursor.
+fn side_work(m: usize, dn: usize, ck: Option<&SideCheckpoint>) -> f64 {
+    match ck {
+        Some(ck) => ck.live.len().max(1) as f64 * ck.cursor.remaining_configs() as f64,
+        None => dn as f64 * (1u64 << m.min(63)) as f64,
     }
 }
 

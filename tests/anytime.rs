@@ -5,8 +5,8 @@
 //! bottleneck sweep paths.
 
 use flowrel::core::{
-    Budget, CalcOptions, CancelToken, Checkpoint, FlowDemand, Outcome, ReliabilityCalculator,
-    Strategy,
+    fnet, reliability_bottleneck, BottleneckReport, Budget, CalcOptions, CancelToken, Checkpoint,
+    CheckpointKind, FlowDemand, Outcome, ReliabilityCalculator, Strategy,
 };
 use flowrel::netgraph::{GraphKind, Network, NetworkBuilder};
 use rand::prelude::*;
@@ -276,4 +276,82 @@ fn checkpoint_text_is_stable_across_round_trips() {
             "{strategy:?}: serialization must be canonical"
         );
     }
+}
+
+/// A `kind bottleneck` checkpoint from the flat one-level engine that
+/// predates the planner (`tests/fixtures/legacy-bottleneck.ckpt`: a
+/// budget-interrupted split of the `.fnet` beside it along links 6 and 7)
+/// resumes in budget slices to the uninterrupted serial bits, and the first
+/// further interruption re-checkpoints as `kind plan`.
+#[test]
+fn legacy_bottleneck_checkpoint_resumes_in_slices_to_the_serial_bits() {
+    let fixture = |name: &str| {
+        let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+    };
+    let file = fnet::parse(&fixture("legacy-bottleneck.fnet")).expect("fixture network");
+    let (net, d) = (file.net, file.demand.expect("fixture demand"));
+    let legacy = Checkpoint::from_text(&fixture("legacy-bottleneck.ckpt")).expect("legacy text");
+    let CheckpointKind::Bottleneck { cut, .. } = &legacy.kind else {
+        panic!("the fixture must be a legacy bottleneck checkpoint");
+    };
+    let fresh = ReliabilityCalculator {
+        strategy: Strategy::Bottleneck(cut.clone()),
+        options: CalcOptions {
+            reduce: false,
+            max_depth: 0,
+            ..Default::default()
+        },
+    }
+    .run_complete(&net, d)
+    .expect("uninterrupted flat decomposition");
+    let exact = fresh.reliability;
+    let configs = |b: &Option<BottleneckReport>| b.as_ref().map_or(0, |b| b.sweep.configs);
+    let reference = reliability_bottleneck(&net, d, cut, &CalcOptions::default()).unwrap();
+    assert_eq!(exact.to_bits(), reference.to_bits());
+
+    let budgeted = calc(Strategy::Auto, limit(16), false);
+    let mut out = budgeted.resume(&net, d, &legacy).expect("legacy resume");
+    let mut partials = 0usize;
+    let mut swept = 0u64;
+    let resumed = loop {
+        match out {
+            Outcome::Complete(rep) => {
+                swept += configs(&rep.bottleneck);
+                break rep.reliability;
+            }
+            Outcome::Partial(p) => {
+                assert!(
+                    p.r_low <= exact + 1e-12 && exact <= p.r_high + 1e-12,
+                    "[{}, {}] must bracket {exact}",
+                    p.r_low,
+                    p.r_high
+                );
+                swept += configs(&p.bottleneck);
+                let text = p.checkpoint.to_text();
+                if partials == 0 {
+                    assert!(
+                        text.lines().any(|l| l == "kind plan"),
+                        "a resumed legacy checkpoint must re-checkpoint as a plan:\n{text}"
+                    );
+                }
+                partials += 1;
+                assert!(partials < 100_000, "budget loop must make progress");
+                let ck = Checkpoint::from_text(&text).expect("text round trip");
+                out = budgeted.resume(&net, d, &ck).expect("resume");
+            }
+        }
+    };
+    assert!(partials > 0, "16-config slices must interrupt the resume");
+    assert!(
+        swept < configs(&fresh.bottleneck),
+        "the resume must continue the legacy sweeps, not restart them \
+         ({swept} configs vs {} fresh)",
+        configs(&fresh.bottleneck)
+    );
+    assert_eq!(
+        resumed.to_bits(),
+        exact.to_bits(),
+        "legacy resume must be bit-identical ({resumed} vs {exact})"
+    );
 }

@@ -125,7 +125,7 @@ fn budgeted_plan_resumes_bit_identically_through_text_checkpoints() {
 }
 
 /// The budgeted factoring engine brackets the exact value and its text
-/// checkpoints resume to the uninterrupted anytime value bit for bit.
+/// checkpoints resume to the unbudgeted factoring value bit for bit.
 #[test]
 fn budgeted_factoring_resumes_bit_identically_through_text_checkpoints() {
     let inst = generators::chained_barbell(2, 3, 1, 23);
@@ -171,24 +171,13 @@ fn budgeted_factoring_resumes_bit_identically_through_text_checkpoints() {
         (finished - exact).abs() < 1e-12,
         "resumed factoring {finished} vs naive {exact}"
     );
-    // Bit-identity is against the flat anytime engine's own uninterrupted
-    // run (the unbudgeted strategy takes the recursive path, whose summation
-    // order differs in the last bits).
+    // Budgeted or not, the factoring strategy runs one engine, so the
+    // resumed bits equal a plain unbudgeted run's.
     let one_shot = ReliabilityCalculator::new()
         .with_strategy(Strategy::Factoring)
-        .with_options(CalcOptions {
-            budget: Budget {
-                max_configs: Some(u64::MAX),
-                ..Budget::unlimited()
-            },
-            ..CalcOptions::default()
-        })
-        .run(&inst.net, demand)
-        .expect("near-unlimited budgeted factoring");
-    let Outcome::Complete(rep) = one_shot else {
-        panic!("a u64::MAX allowance cannot interrupt this instance");
-    };
-    assert_eq!(finished.to_bits(), rep.reliability.to_bits());
+        .run_complete(&inst.net, demand)
+        .expect("unbudgeted factoring");
+    assert_eq!(finished.to_bits(), one_shot.reliability.to_bits());
 }
 
 /// Recursive-Cut plans agree with naive enumeration to 1e-12 across all
